@@ -10,7 +10,7 @@ FUZZ_TARGETS = \
 	internal/health:FuzzHealthProbe internal/flow:FuzzFlowCredit \
 	internal/agg:FuzzAggFrame
 
-.PHONY: check build vet test race bench cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate soak
+.PHONY: check build vet test race bench cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate allocs-gate soak
 
 # check includes the facade API-surface golden test (api_test.go vs
 # api.txt) via the race lane; regen the listing after an intentional API
@@ -97,6 +97,18 @@ m1-gate:
 b1-gate:
 	$(GO) run ./cmd/madbench -json b1 > BENCH_b1.json
 	$(GO) test ./internal/bench -run '^TestB1McastGate$$' -v
+
+# allocs-gate pins the host cost of the simulation core's hot path: zero
+# allocations per scheduled callback and per Sleep resume (vtime), per
+# water-filling pass at 8 and 64 flows (fluid), at most two per fluid
+# transfer (the Flow and its Waker), plus the flight recorder's and the
+# aggregator's zero-allocation pins. It then prints the per-layer host-cost
+# microbenchmarks, which are not gated: wall-clock time depends on the host.
+allocs-gate:
+	$(GO) test ./internal/vtime ./internal/fluid -run 'Allocs' -v
+	$(GO) test ./internal/flight -run 'ZeroAllocs' -v
+	$(GO) test ./internal/agg -run 'AllocsNothing' -v
+	$(GO) test ./internal/vtime ./internal/fluid -run '^$$' -bench 'SimEvent|FluidTransfer' -benchmem
 
 # soak runs the chaos property tests — random link flaps under load with
 # byte-identical payload, epoch-convergence and rail-readmission

@@ -36,6 +36,7 @@ type Comm struct {
 	vc      *fwd.VirtualChannel
 	members []string
 	me      int
+	hdr     [5]byte // receive scratch: the tag block, then the length block
 }
 
 // New creates the communicator view of node self. The member list must be
@@ -102,21 +103,40 @@ func (c *Comm) others() []string {
 	return out
 }
 
-// recv blocks for one message and returns its payload; the tag is checked
-// against want.
-func (c *Comm) recv(p *vtime.Proc, want byte) []byte {
+// recvHeader begins unpacking one message and reads its two express
+// blocks: the tag, checked against want, and the payload length. The
+// caller unpacks the payload and ends the unpacking.
+func (c *Comm) recvHeader(p *vtime.Proc, want byte) (*fwd.Unpacking, int) {
 	u := c.vc.At(c.members[c.me]).BeginUnpacking(p)
-	tag := make([]byte, 1)
+	tag, size := c.hdr[:1], c.hdr[1:]
 	u.Unpack(p, tag, mad.SendCheaper, mad.ReceiveExpress)
 	if tag[0] != want {
 		panic(fmt.Sprintf("coll: tag %d arrived while waiting for %d — collectives called out of order", tag[0], want))
 	}
-	hdr := make([]byte, 4)
-	u.Unpack(p, hdr, mad.SendCheaper, mad.ReceiveExpress)
-	data := make([]byte, binary.LittleEndian.Uint32(hdr))
+	u.Unpack(p, size, mad.SendCheaper, mad.ReceiveExpress)
+	return u, int(binary.LittleEndian.Uint32(size))
+}
+
+// recv blocks for one message and returns its payload in a fresh slice;
+// the tag is checked against want.
+func (c *Comm) recv(p *vtime.Proc, want byte) []byte {
+	u, n := c.recvHeader(p, want)
+	data := make([]byte, n)
 	u.Unpack(p, data, mad.SendCheaper, mad.ReceiveCheaper)
 	u.EndUnpacking(p)
 	return data
+}
+
+// recvBcastInto blocks for one broadcast message and unpacks its payload
+// straight into dst, whose length must match the sender's: every member of
+// a broadcast passes a buffer of the same length.
+func (c *Comm) recvBcastInto(p *vtime.Proc, dst []byte) {
+	u, n := c.recvHeader(p, tagBcast)
+	if n != len(dst) {
+		panic(fmt.Sprintf("coll: broadcast buffers disagree (%d vs %d bytes)", n, len(dst)))
+	}
+	u.Unpack(p, dst, mad.SendCheaper, mad.ReceiveCheaper)
+	u.EndUnpacking(p)
 }
 
 // Collective tags.
@@ -163,22 +183,14 @@ func (c *Comm) Broadcast(p *vtime.Proc, root int, data []byte) {
 			c.mcastSend(p, c.others(), tagBcast, data)
 			return
 		}
-		got := c.recv(p, tagBcast)
-		if len(got) != len(data) {
-			panic(fmt.Sprintf("coll: broadcast buffers disagree (%d vs %d bytes)", len(got), len(data)))
-		}
-		copy(data, got)
+		c.recvBcastInto(p, data)
 		return
 	}
 	// Rotate so the root is virtual rank 0.
 	vrank := (c.me - root + n) % n
 	if vrank != 0 {
 		// Receive from the parent (vrank minus its lowest set bit).
-		got := c.recv(p, tagBcast)
-		if len(got) != len(data) {
-			panic(fmt.Sprintf("coll: broadcast buffers disagree (%d vs %d bytes)", len(got), len(data)))
-		}
-		copy(data, got)
+		c.recvBcastInto(p, data)
 	}
 	// Forward down the binomial tree: a rank that joined at its lowest
 	// set bit `low` owns the children vrank+m for every power of two
@@ -298,15 +310,8 @@ func (c *Comm) Gather(p *vtime.Proc, root int, in []byte) [][]byte {
 	// Flat gather: accept in arrival order, senders identified by the
 	// unpacking's origin rank.
 	for k := 0; k < len(c.members)-1; k++ {
-		u := c.vc.At(c.members[c.me]).BeginUnpacking(p)
-		tag := make([]byte, 1)
-		u.Unpack(p, tag, mad.SendCheaper, mad.ReceiveExpress)
-		if tag[0] != tagGather {
-			panic("coll: unexpected tag during gather")
-		}
-		hdr := make([]byte, 4)
-		u.Unpack(p, hdr, mad.SendCheaper, mad.ReceiveExpress)
-		data := make([]byte, binary.LittleEndian.Uint32(hdr))
+		u, n := c.recvHeader(p, tagGather)
+		data := make([]byte, n)
 		u.Unpack(p, data, mad.SendCheaper, mad.ReceiveCheaper)
 		from := u.From()
 		u.EndUnpacking(p)

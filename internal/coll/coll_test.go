@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,39 @@ func TestBroadcastFromEveryRoot(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestBroadcastBufferMismatchPanics: a member whose buffer length differs
+// from the root's gets the "buffers disagree" panic as soon as the length
+// block arrives, before any payload byte lands in its buffer.
+func TestBroadcastBufferMismatchPanics(t *testing.T) {
+	sim, vc, members := testbed(t)
+	short := bytes.Repeat([]byte{0xEE}, 10)
+	for i, m := range members {
+		i, m := i, m
+		sim.Spawn("member:"+m, func(p *vtime.Proc) {
+			c, err := coll.New(vc, members, m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf := make([]byte, 64)
+			if i == 5 {
+				buf = short
+			}
+			c.Broadcast(p, 0, buf)
+		})
+	}
+	defer func() {
+		r := recover()
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "coll: broadcast buffers disagree (64 vs 10 bytes)") {
+			t.Fatalf("panic = %v, want the buffers-disagree panic", r)
+		}
+		if !bytes.Equal(short, bytes.Repeat([]byte{0xEE}, 10)) {
+			t.Fatalf("mismatched buffer was written: %x", short)
+		}
+	}()
+	_ = sim.Run()
 }
 
 func TestReduceSumOnRoot(t *testing.T) {

@@ -17,7 +17,6 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"madgo/internal/obs"
 	"madgo/internal/vtime"
@@ -82,6 +81,12 @@ type Resource struct {
 
 	flows  []Presence // active flows through this resource
 	served float64    // total bytes moved through this resource (diagnostics)
+
+	// Water-filling state of computeRates, meaningful only during a call:
+	// the capacity not yet handed out and the number of unfrozen flow
+	// hops through the resource.
+	capLeft float64
+	count   int
 }
 
 // Name returns the resource name.
@@ -114,6 +119,10 @@ type Flow struct {
 	waker     *vtime.Waker
 	onDone    func()
 	canceled  bool
+
+	// effDemand is demand times the arbitration multipliers along the
+	// route, recomputed by every computeRates call.
+	effDemand float64
 }
 
 // Name returns the flow's diagnostic name.
@@ -136,8 +145,13 @@ func (f *Flow) Canceled() bool { return f.canceled }
 type Engine struct {
 	sim      *vtime.Sim
 	nextID   uint64
-	flows    []*Flow
+	flows    []*Flow // active flows in creation (id) order
 	timerGen uint64
+
+	// Scratch slices reused across reallocations.
+	limits []float64
+	rest   []*Flow
+	done   []*Flow
 
 	// Metrics, when non-nil, receives flow lifecycle counters and the
 	// active-flow gauge (a nil registry records nothing).
@@ -166,6 +180,10 @@ type Spec struct {
 	Demand float64 // engine's nominal rate, bytes/s; must be > 0
 	Bytes  int64   // must be > 0
 	Route  []Hop
+	// Wait is the reason a process blocked in Transfer gives in deadlock
+	// reports; empty means "flow " + Name. Callers that run many
+	// transfers under one name build it once, so a transfer does not.
+	Wait string
 }
 
 // Path builds a route in which every hop presents class c.
@@ -195,7 +213,11 @@ func (e *Engine) TransferOK(p *vtime.Proc, spec Spec) (vtime.Duration, bool) {
 		return 0, true
 	}
 	f := e.start(spec)
-	f.waker = p.Blocker("flow " + spec.Name)
+	wait := spec.Wait
+	if wait == "" {
+		wait = "flow " + spec.Name
+	}
+	f.waker = p.Blocker(wait)
 	f.waker.Wait()
 	return vtime.Since(e.sim.Now(), f.started), !f.canceled
 }
@@ -243,7 +265,9 @@ func (e *Engine) start(spec Spec) *Flow {
 	for _, h := range f.route {
 		h.R.flows = append(h.R.flows, Presence{Flow: f, Class: h.Class})
 	}
-	e.Metrics.Add("madgo_flows_started_total", obs.Labels{"class": spec.Class.String()}, 1)
+	if e.Metrics != nil {
+		e.Metrics.Add("madgo_flows_started_total", obs.Labels{"class": spec.Class.String()}, 1)
+	}
 	e.reallocate()
 	return f
 }
@@ -275,8 +299,11 @@ const completionEps = 1e-3
 // reallocate recomputes all rates and schedules the next completion. It must
 // run after integrate whenever the flow set changes.
 func (e *Engine) reallocate() {
-	// Retire completed flows first.
-	var done []*Flow
+	// Retire completed flows first. The done list is detached from the
+	// engine while its wakers and callbacks run, so a callback that
+	// starts a new flow (and so reallocates again) cannot overwrite it.
+	done := e.done[:0]
+	e.done = nil
 	live := e.flows[:0]
 	for _, f := range e.flows {
 		if f.remaining <= completionEps {
@@ -285,6 +312,7 @@ func (e *Engine) reallocate() {
 			live = append(live, f)
 		}
 	}
+	clear(e.flows[len(live):])
 	e.flows = live
 	for _, f := range done {
 		for _, h := range f.route {
@@ -300,19 +328,28 @@ func (e *Engine) reallocate() {
 	for _, f := range done {
 		f.remaining = 0
 		f.rate = 0
-		e.Metrics.Add("madgo_flows_completed_total", obs.Labels{"class": f.class.String()}, 1)
-		e.Metrics.Add("madgo_flow_bytes_total", obs.Labels{"class": f.class.String()}, f.total)
-		e.Metrics.ObserveDuration("madgo_flow_seconds", obs.Labels{"class": f.class.String()},
-			vtime.Since(e.sim.Now(), f.started))
-		if f.waker != nil {
-			f.waker.Wake()
-			f.waker = nil
+		if m := e.Metrics; m != nil {
+			labels := obs.Labels{"class": f.class.String()}
+			m.Add("madgo_flows_completed_total", labels, 1)
+			m.Add("madgo_flow_bytes_total", labels, f.total)
+			m.ObserveDuration("madgo_flow_seconds", labels, vtime.Since(e.sim.Now(), f.started))
 		}
-		if f.onDone != nil {
-			fn := f.onDone
-			f.onDone = nil
-			fn()
-		}
+		f.finish()
+	}
+	clear(done)
+	e.done = done[:0]
+}
+
+// finish wakes the flow's waiter and runs its completion callback.
+func (f *Flow) finish() {
+	if f.waker != nil {
+		f.waker.Wake()
+		f.waker = nil
+	}
+	if f.onDone != nil {
+		fn := f.onDone
+		f.onDone = nil
+		fn()
 	}
 }
 
@@ -326,19 +363,22 @@ func removeFlow(flows []Presence, f *Flow) []Presence {
 }
 
 // computeRates runs priority-adjusted max-min (water-filling) over the live
-// flows. Deterministic: flows are processed in creation order.
+// flows. Deterministic: flows are processed in creation order, which is the
+// order of e.flows (start appends, retirement compacts in place), so the
+// floating-point operations run in the same order on every call. The
+// water-filling state lives on the resources and flows and in the engine's
+// scratch slices, so a call allocates nothing once those have grown.
 func (e *Engine) computeRates() {
 	if len(e.flows) == 0 {
 		return
 	}
-	flows := make([]*Flow, len(e.flows))
-	copy(flows, e.flows)
-	sort.Slice(flows, func(i, j int) bool { return flows[i].id < flows[j].id })
-
 	// Effective demand: nominal demand times the product of arbitration
-	// multipliers along the route.
-	demand := make(map[*Flow]float64, len(flows))
-	for _, f := range flows {
+	// multipliers along the route. The same pass resets the state of
+	// every resource in use, which the next pass counts.
+	for i, f := range e.flows {
+		if i > 0 && e.flows[i-1].id >= f.id {
+			panic("fluid: active flows out of creation order")
+		}
 		d := f.demand
 		for _, h := range f.route {
 			if h.R.adjust != nil {
@@ -348,53 +388,51 @@ func (e *Engine) computeRates() {
 				}
 				d *= m
 			}
+			h.R.capLeft = h.R.capacity
+			h.R.count = 0
 		}
-		demand[f] = d
+		f.effDemand = d
 	}
-
-	capLeft := make(map[*Resource]float64)
-	count := make(map[*Resource]int)
-	for _, f := range flows {
+	for _, f := range e.flows {
 		for _, h := range f.route {
-			if _, seen := capLeft[h.R]; !seen {
-				capLeft[h.R] = h.R.capacity
-				count[h.R] = 0
-			}
-			count[h.R]++
+			h.R.count++
 		}
 	}
 
-	unfrozen := flows
+	unfrozen := append(e.rest[:0], e.flows...)
+	e.rest = unfrozen
 	for len(unfrozen) > 0 {
 		// Per-flow limit against the current snapshot: demand or the
 		// tightest fair share on the flow's route.
-		limits := make([]float64, len(unfrozen))
+		limits := e.limits[:0]
 		lmin := math.Inf(1)
-		for i, f := range unfrozen {
-			l := demand[f]
+		for _, f := range unfrozen {
+			l := f.effDemand
 			for _, h := range f.route {
-				share := capLeft[h.R] / float64(count[h.R])
+				share := h.R.capLeft / float64(h.R.count)
 				if share < l {
 					l = share
 				}
 			}
-			limits[i] = l
+			limits = append(limits, l)
 			if l < lmin {
 				lmin = l
 			}
 		}
+		e.limits = limits
 		// Freeze every flow bottlenecked at the minimum; apply capacity
-		// updates only after the freeze set is fixed.
-		var rest []*Flow
+		// updates only after the freeze set is fixed. The survivors are
+		// compacted in place: rest never overtakes the flow being read.
+		rest := unfrozen[:0]
 		for i, f := range unfrozen {
 			if limits[i] <= lmin*(1+1e-12) {
 				f.rate = lmin
 				for _, h := range f.route {
-					capLeft[h.R] -= lmin
-					if capLeft[h.R] < 0 {
-						capLeft[h.R] = 0
+					h.R.capLeft -= lmin
+					if h.R.capLeft < 0 {
+						h.R.capLeft = 0
 					}
-					count[h.R]--
+					h.R.count--
 				}
 			} else {
 				rest = append(rest, f)
@@ -405,10 +443,13 @@ func (e *Engine) computeRates() {
 		}
 		unfrozen = rest
 	}
+	clear(e.rest)
 }
 
 // scheduleNextCompletion arms a single timer at the earliest flow
-// completion. Any later change to the flow set invalidates it via timerGen.
+// completion. Any later change to the flow set invalidates it: the event
+// carries the timer generation it was armed under, and a fired timer whose
+// generation is no longer current does nothing.
 func (e *Engine) scheduleNextCompletion() {
 	e.timerGen++
 	if len(e.flows) == 0 {
@@ -429,14 +470,17 @@ func (e *Engine) scheduleNextCompletion() {
 	if eta == vtime.Time(math.MaxInt64) {
 		panic("fluid: all flows starved — resource capacities misconfigured")
 	}
-	gen := e.timerGen
-	e.sim.At(eta, func() {
-		if gen != e.timerGen {
-			return
-		}
-		e.integrate()
-		e.reallocate()
-	})
+	e.sim.AtArg(eta, completionTimer, e, e.timerGen)
+}
+
+// completionTimer fires the completion timer armed under generation gen.
+func completionTimer(engine any, gen uint64) {
+	e := engine.(*Engine)
+	if gen != e.timerGen {
+		return
+	}
+	e.integrate()
+	e.reallocate()
 }
 
 // ActiveFlows returns the number of in-progress flows (diagnostics).
@@ -462,22 +506,21 @@ func (e *Engine) CancelOn(r *Resource) int {
 		return 0
 	}
 	e.integrate()
-	dead := make(map[*Flow]bool, len(doomed))
 	for _, f := range doomed {
-		dead[f] = true
+		f.canceled = true
 	}
 	live := e.flows[:0]
 	for _, f := range e.flows {
-		if !dead[f] {
+		if !f.canceled {
 			live = append(live, f)
 		}
 	}
+	clear(e.flows[len(live):])
 	e.flows = live
 	for _, f := range doomed {
 		for _, h := range f.route {
 			h.R.flows = removeFlow(h.R.flows, f)
 		}
-		f.canceled = true
 		f.rate = 0
 	}
 	e.computeRates()
@@ -485,15 +528,7 @@ func (e *Engine) CancelOn(r *Resource) int {
 	e.Metrics.Set("madgo_active_flows", nil, float64(len(e.flows)))
 	e.Metrics.Add("madgo_flows_canceled_total", nil, float64(len(doomed)))
 	for _, f := range doomed {
-		if f.waker != nil {
-			f.waker.Wake()
-			f.waker = nil
-		}
-		if f.onDone != nil {
-			fn := f.onDone
-			f.onDone = nil
-			fn()
-		}
+		f.finish()
 	}
 	return len(doomed)
 }

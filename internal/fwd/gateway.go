@@ -447,8 +447,10 @@ func (g *Gateway) forward(p *vtime.Proc, a *mad.Arrival) int64 {
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	vc.metrics().RecordHop(msgID, p.Now(), g.name, "relay",
-		fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	}
 	var outCh *mad.Channel
 	nextGW := ""
 	if hop.To == dstName {
@@ -512,8 +514,10 @@ func (g *Gateway) forwardEager(p *vtime.Proc, a *mad.Arrival) int64 {
 	if !ok {
 		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	vc.metrics().RecordHop(msgID, p.Now(), g.name, "relay",
-		fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	}
 	var outCh *mad.Channel
 	nextGW := ""
 	if hop.To == dstName {

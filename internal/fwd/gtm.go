@@ -156,8 +156,10 @@ func (g *gtmPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Recv
 			Kind:   mad.KindGTM,
 			Blocks: []mad.BlockDesc{{Size: n, S: s, R: r}},
 		}, data[off:off+n])
-		g.vc.metrics().RecordHop(g.id, p.Now(), g.node.Name, "hop",
-			fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), n)
+		if m := g.vc.metrics(); m != nil {
+			m.RecordHop(g.id, p.Now(), g.node.Name, "hop",
+				fmt.Sprintf("%s -> %s via %s", g.node.Name, g.link.Dst.Name, net), n)
+		}
 	})
 }
 

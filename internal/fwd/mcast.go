@@ -259,8 +259,9 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	}
 	sort.Strings(ds)
 	x := &mcastPacking{vc: vc, node: e.node, dests: ds, id: vc.nextMsgID()}
-	vc.metrics().RecordHop(x.id, p.Now(), e.node.Name, "pack",
-		fmt.Sprintf("mcast -> {%s}", strings.Join(ds, ",")), 0)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(x.id, p.Now(), e.node.Name, "pack", fmt.Sprintf("mcast -> {%s}", strings.Join(ds, ",")), 0)
+	}
 	return &Packing{mcast: x, id: x.id}
 }
 
@@ -352,8 +353,10 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 		}
 		link.Send(p, mad.TxMeta{SOM: true, EOM: true, Kind: mad.KindMcast,
 			Blocks: append([]mad.BlockDesc{mcastHdrDesc(len(hdr))}, x.blockDescs()...)}, frame)
-		vc.metrics().RecordHop(x.id, p.Now(), x.node.Name, "hop",
-			fmt.Sprintf("%s -> %s via %s (mcast compact, %d dests)", x.node.Name, b.Hop.To, net, len(b.Dests)), x.total)
+		if m := vc.metrics(); m != nil {
+			m.RecordHop(x.id, p.Now(), x.node.Name, "hop",
+				fmt.Sprintf("%s -> %s via %s (mcast compact, %d dests)", x.node.Name, b.Hop.To, net, len(b.Dests)), x.total)
+		}
 		return
 	}
 	// Streaming: header first, then MTU-sized fragments; the terminator
@@ -385,8 +388,10 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 				Blocks: []mad.BlockDesc{{Size: n, S: blk.s, R: blk.r}}}, blk.data[off:off+n])
 		})
 	}
-	vc.metrics().RecordHop(x.id, p.Now(), x.node.Name, "hop",
-		fmt.Sprintf("%s -> %s via %s (mcast, %d dests)", x.node.Name, b.Hop.To, net, len(b.Dests)), x.total)
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(x.id, p.Now(), x.node.Name, "hop",
+			fmt.Sprintf("%s -> %s via %s (mcast, %d dests)", x.node.Name, b.Hop.To, net, len(b.Dests)), x.total)
+	}
 }
 
 // mcastLocal is a fully captured multicast message a relaying gateway
@@ -649,8 +654,10 @@ func (g *Gateway) forwardMcast(p *vtime.Proc, a *mad.Arrival) int64 {
 	m.Add("madgo_mcast_relays_total", gwLabels, 1)
 	st.branches += int64(len(branches))
 	m.Add("madgo_mcast_branches_total", nodeLabels, float64(len(branches)))
-	m.RecordHop(msgID, p.Now(), g.name, "relay",
-		fmt.Sprintf("mcast %s -> %d branches (%d dests)", inNet, len(branches), len(dests)), 0)
+	if m != nil {
+		m.RecordHop(msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("mcast %s -> %d branches (%d dests)", inNet, len(branches), len(dests)), 0)
+	}
 	g.messages++
 
 	if meta.EOM {

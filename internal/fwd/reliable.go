@@ -605,7 +605,9 @@ func (e *relEngine) hop(id uint64, at vtime.Time, op, detail string, bytes int) 
 // count bumps a per-node reliability counter (pre-registered at zero by
 // buildReliable so the series appear in snapshots even on clean runs).
 func (e *relEngine) count(name string) {
-	e.metrics().Add(name, obs.Labels{"node": e.node.Name}, 1)
+	if m := e.metrics(); m != nil {
+		m.Add(name, obs.Labels{"node": e.node.Name}, 1)
+	}
 }
 
 // relCounterNames are the per-node reliability counters, pre-registered so a
@@ -911,7 +913,7 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 		e.acks[ds[i].key()] = aws[i]
 		sentAt[i] = p.Now()
 		e.sendData(p, link, ds[i], i == len(ds)-1)
-		e.hop(ds[i].id, p.Now(), "hop", e.hopDetail(ds[i], hop), len(ds[i].payload))
+		e.dataHop(ds[i], p.Now(), "hop", hop)
 	}
 	hopDead := false
 	for i := range ds {
@@ -944,7 +946,7 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 				e.retransmits++
 				e.trace("rexmit", len(ds[i].payload), p.Now())
 				e.count("madgo_retransmits_total")
-				e.hop(ds[i].id, p.Now(), "rexmit", e.hopDetail(ds[i], hop), len(ds[i].payload))
+				e.dataHop(ds[i], p.Now(), "rexmit", hop)
 				aw = &relAwait{}
 				e.acks[key] = aw
 				sentAt[i] = p.Now()
@@ -976,11 +978,20 @@ func (e *relEngine) deliverBurst(p *vtime.Proc, hop route.Hop, ds []relData) (fa
 	return failed
 }
 
-func (e *relEngine) hopDetail(d relData, hop route.Hop) string {
-	if d.frag == e2eFrag {
-		return fmt.Sprintf("e2e-ack -> %s via %s", hop.To, hop.Network)
+// dataHop records packet d crossing hop; the detail string is built only
+// when a metrics registry is armed.
+func (e *relEngine) dataHop(d relData, at vtime.Time, op string, hop route.Hop) {
+	m := e.metrics()
+	if m == nil {
+		return
 	}
-	return fmt.Sprintf("frag %d -> %s via %s", d.frag, hop.To, hop.Network)
+	var detail string
+	if d.frag == e2eFrag {
+		detail = fmt.Sprintf("e2e-ack -> %s via %s", hop.To, hop.Network)
+	} else {
+		detail = fmt.Sprintf("frag %d -> %s via %s", d.frag, hop.To, hop.Network)
+	}
+	m.RecordHop(d.id, at, e.node.Name, op, detail, len(d.payload))
 }
 
 // sendData encodes and transmits one packet over one link, piggybacking
@@ -1021,7 +1032,9 @@ func (e *relEngine) takePiggyback(link *mad.Link) []relAckKey {
 	acks := append([]relAckKey(nil), pend[:n]...)
 	e.pend[link] = pend[n:]
 	e.acksCoalesced += int64(n)
-	e.metrics().Add("madgo_rel_acks_coalesced_total", obs.Labels{"node": e.node.Name}, float64(n))
+	if m := e.metrics(); m != nil {
+		m.Add("madgo_rel_acks_coalesced_total", obs.Labels{"node": e.node.Name}, float64(n))
+	}
 	return acks
 }
 
@@ -1032,17 +1045,22 @@ func (e *relEngine) takePiggyback(link *mad.Link) []relAckKey {
 func (e *relEngine) await(p *vtime.Proc, aw *relAwait, to vtime.Duration, what string) bool {
 	if !aw.done {
 		aw.w = p.Blocker(what)
-		e.sim().After(to, func() {
-			if aw.done {
-				return
-			}
-			aw.done = true
-			aw.ok = false
-			aw.w.Wake()
-		})
+		e.sim().AfterArg(to, expireAwait, aw, 0)
 		aw.w.Wait()
 	}
 	return aw.ok
+}
+
+// expireAwait fails the *relAwait passed as a when its timeout fires,
+// unless it completed first.
+func expireAwait(a any, _ uint64) {
+	aw := a.(*relAwait)
+	if aw.done {
+		return
+	}
+	aw.done = true
+	aw.ok = false
+	aw.w.Wake()
 }
 
 // complete fulfils an awaited slot from handler context (never parks).
@@ -1120,22 +1138,28 @@ func (e *relEngine) nextHopHealth(dst, exclude string) (route.Hop, bool) {
 		}
 		return route.Hop{}, false
 	}
-	base := mon.Constraints()
-	c := route.Constraints{Nodes: base.Nodes, Edges: base.Edges}
-	c.Relays = make(map[string]bool, len(base.Relays)+1)
-	for k, v := range base.Relays {
-		c.Relays[k] = v
-	}
-	c.Relays[exclude] = true
+	var c route.Constraints // built on the first cache miss only
 	for i, t := range [...]*topo.Topology{e.vc.tp, e.vc.cfg.FallbackTopo} {
 		if t == nil {
 			continue
 		}
-		key := fmt.Sprintf("h%d|x:%s", i, exclude)
-		tbl := e.tables[key]
+		prefix := "h0|x:"
+		if i == 1 {
+			prefix = "h1|x:"
+		}
+		tbl := e.tables[prefix+exclude]
 		if tbl == nil {
+			if c.Relays == nil {
+				base := mon.Constraints()
+				c = route.Constraints{Nodes: base.Nodes, Edges: base.Edges}
+				c.Relays = make(map[string]bool, len(base.Relays)+1)
+				for k, v := range base.Relays {
+					c.Relays[k] = v
+				}
+				c.Relays[exclude] = true
+			}
 			tbl = route.ComputeConstrained(t, c)
-			e.tables[key] = tbl
+			e.tables[prefix+exclude] = tbl
 		}
 		if r, ok := tbl.Lookup(me, dst); ok && len(r) > 0 {
 			return r[0], true
@@ -1315,8 +1339,10 @@ func (e *relEngine) acceptLocal(p *vtime.Proc, in *mad.Link, d relData) {
 				payload += len(b)
 			}
 		}
-		e.hop(d.id, p.Now(), "deliver",
-			fmt.Sprintf("reassembled at %s (%d fragments)", e.node.Name, m.total), payload)
+		if e.metrics() != nil {
+			e.hop(d.id, p.Now(), "deliver",
+				fmt.Sprintf("reassembled at %s (%d fragments)", e.node.Name, m.total), payload)
+		}
 		e.sendE2E(d.origin, d.id)
 	}
 }

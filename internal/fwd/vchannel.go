@@ -592,7 +592,9 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	if e.vc.cfg.Aggregation {
 		if r, ok := e.vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
 			ax := newAggPacking(e.vc, e.node, dst)
-			e.vc.metrics().RecordHop(ax.id, p.Now(), e.node.Name, "pack", "agg -> "+dst, 0)
+			if m := e.vc.metrics(); m != nil {
+				m.RecordHop(ax.id, p.Now(), e.node.Name, "pack", "agg -> "+dst, 0)
+			}
 			return &Packing{agg: ax, id: ax.id}
 		}
 	}
@@ -604,7 +606,9 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 			panic("fwd: unknown destination " + dst)
 		}
 		rp := newRelPacking(e.vc.rel[e.node.Name], dst)
-		e.vc.metrics().RecordHop(rp.id, p.Now(), e.node.Name, "pack", "reliable -> "+dst, 0)
+		if m := e.vc.metrics(); m != nil {
+			m.RecordHop(rp.id, p.Now(), e.node.Name, "pack", "reliable -> "+dst, 0)
+		}
 		return &Packing{rel: rp, id: rp.id}
 	}
 	// Striping: when the pair has at least two disjoint rails, buffer the
@@ -612,8 +616,10 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	// path below the size threshold).
 	if len(e.vc.stripeRoutes(e.node.Name, dst)) >= 2 {
 		sx := newStripePacking(e.vc, e.node, dst)
-		e.vc.metrics().RecordHop(sx.id, p.Now(), e.node.Name, "pack",
-			fmt.Sprintf("stripe -> %s (%d rails)", dst, len(e.vc.stripeRoutes(e.node.Name, dst))), 0)
+		if m := e.vc.metrics(); m != nil {
+			m.RecordHop(sx.id, p.Now(), e.node.Name, "pack",
+				fmt.Sprintf("stripe -> %s (%d rails)", dst, len(e.vc.stripeRoutes(e.node.Name, dst))), 0)
+		}
 		return &Packing{stripe: sx, id: sx.id}
 	}
 	r, ok := e.vc.tbl.Lookup(e.node.Name, dst)
@@ -624,8 +630,9 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	if r.Direct() {
 		ep := e.vc.regular[hop.Network].At(e.node)
 		id := e.vc.nextMsgID()
-		e.vc.metrics().RecordHop(id, p.Now(), e.node.Name, "pack",
-			fmt.Sprintf("direct -> %s via %s", dst, hop.Network), 0)
+		if m := e.vc.metrics(); m != nil {
+			m.RecordHop(id, p.Now(), e.node.Name, "pack", fmt.Sprintf("direct -> %s via %s", dst, hop.Network), 0)
+		}
 		return &Packing{plain: ep.BeginPacking(p, e.vc.NodeRank(dst)), id: id}
 	}
 	spc, ok := e.vc.special[hop.Network]
@@ -635,13 +642,15 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	link := spc.Link(e.node.Rank, e.vc.NodeRank(hop.To))
 	if e.vc.cfg.Eager {
 		g := newEagerPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-		e.vc.metrics().RecordHop(g.id, p.Now(), e.node.Name, "pack",
-			fmt.Sprintf("eager -> %s via %s", dst, hop.Network), 0)
+		if m := e.vc.metrics(); m != nil {
+			m.RecordHop(g.id, p.Now(), e.node.Name, "pack", fmt.Sprintf("eager -> %s via %s", dst, hop.Network), 0)
+		}
 		return &Packing{eager: g, id: g.id}
 	}
 	g := newGTMPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-	e.vc.metrics().RecordHop(g.id, p.Now(), e.node.Name, "pack",
-		fmt.Sprintf("gtm -> %s via %s", dst, hop.Network), 0)
+	if m := e.vc.metrics(); m != nil {
+		m.RecordHop(g.id, p.Now(), e.node.Name, "pack", fmt.Sprintf("gtm -> %s via %s", dst, hop.Network), 0)
+	}
 	return &Packing{gtm: g, id: g.id}
 }
 

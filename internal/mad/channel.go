@@ -21,6 +21,10 @@ type Channel struct {
 	order   []Rank
 	links   map[[2]Rank]*Link
 	arrival map[Rank]*vsync.Chan[*Arrival]
+
+	// Deadlock-report reasons of the channel's blocked link senders and
+	// receivers, built once.
+	gateWait, recvWait string
 }
 
 // NewChannel creates a channel over the given network and driver connecting
@@ -37,6 +41,9 @@ func (s *Session) NewChannel(name string, net *hw.Network, drv Driver, members .
 		members: make(map[Rank]*Node, len(members)),
 		links:   make(map[[2]Rank]*Link),
 		arrival: make(map[Rank]*vsync.Chan[*Arrival], len(members)),
+
+		gateWait: "posted gate " + name,
+		recvWait: "link recv " + name,
 	}
 	for _, n := range members {
 		if n.Session != s {

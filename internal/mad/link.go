@@ -75,6 +75,7 @@ func (m TxMeta) wireBytes() int {
 
 // transmission is one in-flight unit on a link.
 type transmission struct {
+	link    *Link
 	meta    TxMeta
 	payload []byte // sender-side reference
 	slot    []byte // receiver-side driver memory (eager or ungranted data)
@@ -129,18 +130,34 @@ type Link struct {
 	recvMu  vsync.Mutex    // serializes whole messages on the receiving side
 	seq     uint64
 	flRing  *flight.Ring // cached flight ring; nil until a recorder is armed
+
+	// Built once by newLink so a transmission builds neither: the fluid
+	// route sender bus → wire → receiver bus, and the flow's name and
+	// the reason its blocked sender gives in deadlock reports.
+	route    []fluid.Hop
+	flowName string
+	flowWait string
 }
 
 func newLink(ch *Channel, src, dst *Node) *Link {
 	nic := ch.drv.NIC()
+	wire := ch.net.Wire(src.Name, dst.Name)
+	name := fmt.Sprintf("%s:%s->%s", ch.Name, src.Name, dst.Name)
 	l := &Link{
 		Channel: ch,
 		Src:     src,
 		Dst:     dst,
 		drv:     ch.drv,
 		nic:     nic,
-		wire:    ch.net.Wire(src.Name, dst.Name),
-		mailbox: vsync.NewChan[*transmission](fmt.Sprintf("mbox:%s:%s->%s", ch.Name, src.Name, dst.Name), 4096),
+		wire:    wire,
+		mailbox: vsync.NewChan[*transmission]("mbox:"+name, 4096),
+		route: []fluid.Hop{
+			{R: src.Host.Bus, Class: nic.SendBusClass},
+			{R: wire, Class: fluid.ClassWire},
+			{R: dst.Host.Bus, Class: nic.RecvBusClass},
+		},
+		flowName: name,
+		flowWait: "flow " + name,
 	}
 	if nic.EagerCredits > 0 {
 		l.credits = vsync.NewSem(nic.EagerCredits)
@@ -193,15 +210,12 @@ func (l *Link) flow(p *vtime.Proc, wireBytes, payloadLen int) bool {
 		demand = l.nic.RecvEngineRate
 	}
 	_, ok := l.engine().TransferOK(p, fluid.Spec{
-		Name:   fmt.Sprintf("%s:%s->%s", l.Channel.Name, l.Src.Name, l.Dst.Name),
+		Name:   l.flowName,
 		Class:  l.nic.SendBusClass,
 		Demand: demand,
 		Bytes:  int64(wireBytes),
-		Route: []fluid.Hop{
-			{R: l.Src.Host.Bus, Class: l.nic.SendBusClass},
-			{R: l.wire, Class: fluid.ClassWire},
-			{R: l.Dst.Host.Bus, Class: l.nic.RecvBusClass},
-		},
+		Route:  l.route,
+		Wait:   l.flowWait,
 	})
 	return ok
 }
@@ -212,12 +226,17 @@ func (l *Link) flow(p *vtime.Proc, wireBytes, payloadLen int) bool {
 // already made any copies its policy requires.
 func (l *Link) Send(p *vtime.Proc, meta TxMeta, data []byte) {
 	m := l.metrics()
-	labels := obs.Labels{"net": l.Channel.net.Name, "node": l.Src.Name}
-	m.Add("madgo_link_sends_total", labels, 1)
-	m.Add("madgo_link_send_bytes_total", labels, float64(len(data)))
+	var labels obs.Labels
+	if m != nil {
+		labels = obs.Labels{"net": l.Channel.net.Name, "node": l.Src.Name}
+		m.Add("madgo_link_sends_total", labels, 1)
+		m.Add("madgo_link_send_bytes_total", labels, float64(len(data)))
+	}
 	t0 := p.Now()
 	l.send(p, meta, data)
-	m.ObserveDuration("madgo_link_send_seconds", labels, vtime.Since(p.Now(), t0))
+	if m != nil {
+		m.ObserveDuration("madgo_link_send_seconds", labels, vtime.Since(p.Now(), t0))
+	}
 	l.flight().Record(flight.KindWire, p.Now(), vtime.Since(p.Now(), t0), 0, len(data), l.Channel.net.Name)
 }
 
@@ -228,7 +247,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 	}
 	l.seq++
 	meta.Seq = l.seq
-	tx := &transmission{meta: meta, payload: data, corruptAt: -1}
+	tx := &transmission{link: l, meta: meta, payload: data, corruptAt: -1}
 
 	if meta.Reliable {
 		if inj := l.faults(); inj != nil {
@@ -256,12 +275,12 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 			tx.announced = true
 		}
 		if l.posted == nil {
-			w := p.Blocker("posted gate " + l.Channel.Name)
+			w := p.Blocker(l.Channel.gateWait)
 			l.gated = append(l.gated, w)
 			w.Wait()
 		}
 		l.flow(p, tx.meta.wireBytes(), len(data))
-		l.sim().After(l.nic.WireLatency, func() { l.deliver(tx) })
+		l.sim().AfterArg(l.nic.WireLatency, deliverTx, tx, 0)
 		return
 	}
 	// Ring eager path: take a flow-control credit (a free ring slot on
@@ -279,7 +298,7 @@ func (l *Link) send(p *vtime.Proc, meta TxMeta, data []byte) {
 		l.releaseCredit(tx)
 		return
 	}
-	l.sim().After(l.nic.WireLatency, func() { l.deliver(tx) })
+	l.sim().AfterArg(l.nic.WireLatency, deliverTx, tx, 0)
 }
 
 // judge draws the fault verdicts for a reliable transmission at send time,
@@ -314,7 +333,7 @@ func applyCorruption(buf []byte, tx *transmission) {
 func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
 	tx.rendezvous = true
 	tx.senderW = p.Blocker("rendezvous grant")
-	l.sim().After(l.nic.WireLatency, func() { l.deliver(tx) })
+	l.sim().AfterArg(l.nic.WireLatency, deliverTx, tx, 0)
 	tx.senderW.Wait()
 	p.Sleep(l.nic.RendezvousCost)
 	l.flow(p, tx.meta.wireBytes(), len(tx.payload))
@@ -326,9 +345,11 @@ func (l *Link) sendRendezvous(p *vtime.Proc, tx *transmission) {
 		tx.slot = snapshot(tx.payload)
 	}
 	tx.dataReady = true
-	w := tx.recvW
-	l.sim().After(l.nic.WireLatency, func() { w.Wake() })
+	l.sim().AfterArg(l.nic.WireLatency, wakeWaker, tx.recvW, 0)
 }
+
+// wakeWaker wakes the *vtime.Waker passed as w; scheduled through AfterArg.
+func wakeWaker(w any, _ uint64) { w.(*vtime.Waker).Wake() }
 
 // place puts payload into a posted destination without a CPU copy (the NIC
 // wrote it there).
@@ -345,6 +366,13 @@ func (l *Link) place(g *postedRecv, payload []byte) {
 // writing into protocol-owned buffers, so it charges no CPU time.
 func snapshot(payload []byte) []byte {
 	return append([]byte(nil), payload...)
+}
+
+// deliverTx delivers the *transmission passed as tx on its link; scheduled
+// through AfterArg a wire latency after the send.
+func deliverTx(tx any, _ uint64) {
+	t := tx.(*transmission)
+	t.link.deliver(t)
 }
 
 // deliver runs in scheduler context when a transmission (or rendezvous
@@ -462,7 +490,7 @@ func (l *Link) receive(p *vtime.Proc, dst []byte) *transmission {
 		}
 		return tx
 	}
-	g := &postedRecv{dst: dst, w: p.Blocker("link recv " + l.Channel.Name)}
+	g := &postedRecv{dst: dst, w: p.Blocker(l.Channel.recvWait)}
 	l.posted = g
 	if len(l.gated) > 0 {
 		w := l.gated[0]

@@ -62,7 +62,7 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		}()
 		s.handoff <- yield{p: p, done: true, panicked: panicked}
 	}()
-	s.schedule(s.now, p, p.gen, nil)
+	s.schedule(s.now, p, p.gen, nil, nil)
 	return handle
 }
 
@@ -131,7 +131,7 @@ func (pr *Proc) Sleep(d Duration) {
 	p.state = stateParked
 	p.gen++
 	p.waiting = "sleep"
-	p.sim.schedule(p.sim.now.Add(d), p, p.gen, nil)
+	p.sim.schedule(p.sim.now.Add(d), p, p.gen, nil, nil)
 	p.state = stateScheduled
 	p.sim.handoff <- yield{p: p}
 	<-p.resume

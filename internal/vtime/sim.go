@@ -1,40 +1,81 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
 )
 
 // event is a scheduled occurrence: either resuming a parked process or
-// running a lightweight callback in scheduler context.
+// running a callback in scheduler context. Events are stored by value in
+// the queue, so scheduling one allocates nothing.
 type event struct {
 	at  Time
 	seq uint64 // FIFO tiebreaker for simultaneous events
 	p   *proc  // process to resume, nil for callbacks
-	gen uint64 // park generation guard: stale wakes are dropped
-	fn  func() // callback, nil for process resumes
+	gen uint64 // park generation guard (stale wakes are dropped), or fn's n
+	fn  func(arg any, n uint64)
+	arg any
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue order: by time, then by scheduling sequence. seq is
+// unique, so the order is total and every correct heap pops the same
+// sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events ordered by before.
+type eventHeap []event
+
+// push and pop move a hole through the heap instead of swapping, so each
+// level costs one event copy.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, event{})
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop references held by the vacated slot
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // yield is the message a process goroutine sends back to the scheduler when
@@ -74,21 +115,39 @@ func New() *Sim {
 func (s *Sim) Now() Time { return s.now }
 
 // schedule enqueues an event at time at (>= now).
-func (s *Sim) schedule(at Time, p *proc, gen uint64, fn func()) *event {
+func (s *Sim) schedule(at Time, p *proc, gen uint64, fn func(any, uint64), arg any) {
 	if at < s.now {
 		panic(fmt.Sprintf("vtime: scheduling into the past (%v < %v)", at, s.now))
 	}
 	s.seq++
-	e := &event{at: at, seq: s.seq, p: p, gen: gen, fn: fn}
-	heap.Push(&s.events, e)
-	return e
+	s.events.push(event{at: at, seq: s.seq, p: p, gen: gen, fn: fn, arg: arg})
 }
 
 // At schedules fn to run in scheduler context at absolute time at. The
 // callback must not block; it is intended for bookkeeping such as fluid-flow
 // completions. Callbacks may schedule further events and wake processes.
 func (s *Sim) At(at Time, fn func()) {
-	s.schedule(at, nil, 0, fn)
+	s.schedule(at, nil, 0, callFunc, fn)
+}
+
+// callFunc runs a callback scheduled through At.
+func callFunc(fn any, _ uint64) { fn.(func())() }
+
+// AtArg schedules fn(arg, n) like At schedules a closure. The argument
+// travels in the event, so a hot path that passes a pointer for arg and a
+// package-level function or a method value built once for fn schedules
+// without allocating, where a closure capturing the same state would be
+// heap-allocated on every call.
+func (s *Sim) AtArg(at Time, fn func(arg any, n uint64), arg any, n uint64) {
+	s.schedule(at, nil, n, fn, arg)
+}
+
+// AfterArg schedules fn(arg, n) d from now. See AtArg.
+func (s *Sim) AfterArg(d Duration, fn func(arg any, n uint64), arg any, n uint64) {
+	if d < 0 {
+		panic("vtime: AfterArg with negative duration")
+	}
+	s.AtArg(s.now.Add(d), fn, arg, n)
 }
 
 // After schedules fn to run d from now. See At.
@@ -146,14 +205,14 @@ func (s *Sim) run(deadline Time) error {
 	s.running = true
 	defer func() { s.running = false }()
 
-	for s.events.Len() > 0 {
+	for len(s.events) > 0 {
 		if deadline >= 0 && s.events[0].at > deadline {
 			return nil
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := s.events.pop()
 		s.now = e.at
 		if e.fn != nil {
-			e.fn()
+			e.fn(e.arg, e.gen)
 			continue
 		}
 		p := e.p
@@ -214,7 +273,7 @@ func (s *Sim) ready(p *proc) {
 		panic(fmt.Sprintf("vtime: waking process %q which is not parked", p.name))
 	}
 	p.state = stateScheduled
-	s.schedule(s.now, p, p.gen, nil)
+	s.schedule(s.now, p, p.gen, nil, nil)
 }
 
 // Processes returns the number of live (not yet finished) processes.

@@ -13,8 +13,12 @@ type Chan[T any] struct {
 	cap     int
 	buf     []T
 	senders []chanSender[T]
-	recvers []chanRecver[T]
+	recvers []*chanRecver[T]
 	closed  bool
+
+	// Deadlock-report reasons of blocked senders and receivers, built on
+	// the first block and kept, so later blocking calls build no string.
+	sendWait, recvWait string
 }
 
 type chanSender[T any] struct {
@@ -22,10 +26,12 @@ type chanSender[T any] struct {
 	v T
 }
 
+// chanRecver is a blocked receiver; the sender that wakes it fills in the
+// value.
 type chanRecver[T any] struct {
 	w  *vtime.Waker
-	v  *T
-	ok *bool
+	v  T
+	ok bool
 }
 
 // NewChan creates a channel with the given buffer capacity. The name is used
@@ -47,8 +53,7 @@ func (c *Chan[T]) Send(p *vtime.Proc, v T) {
 	if len(c.recvers) > 0 {
 		r := c.recvers[0]
 		c.recvers = c.recvers[:copy(c.recvers, c.recvers[1:])]
-		*r.v = v
-		*r.ok = true
+		r.v, r.ok = v, true
 		r.w.Wake()
 		return
 	}
@@ -56,7 +61,10 @@ func (c *Chan[T]) Send(p *vtime.Proc, v T) {
 		c.buf = append(c.buf, v)
 		return
 	}
-	w := p.Blocker("send " + c.name)
+	if c.sendWait == "" {
+		c.sendWait = "send " + c.name
+	}
+	w := p.Blocker(c.sendWait)
 	c.senders = append(c.senders, chanSender[T]{w: w, v: v})
 	w.Wait()
 	if c.closed {
@@ -72,8 +80,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if len(c.recvers) > 0 {
 		r := c.recvers[0]
 		c.recvers = c.recvers[:copy(c.recvers, c.recvers[1:])]
-		*r.v = v
-		*r.ok = true
+		r.v, r.ok = v, true
 		r.w.Wake()
 		return true
 	}
@@ -105,12 +112,13 @@ func (c *Chan[T]) Recv(p *vtime.Proc) (T, bool) {
 	if c.closed {
 		return zero, false
 	}
-	var v T
-	var ok bool
-	w := p.Blocker("recv " + c.name)
-	c.recvers = append(c.recvers, chanRecver[T]{w: w, v: &v, ok: &ok})
-	w.Wait()
-	return v, ok
+	if c.recvWait == "" {
+		c.recvWait = "recv " + c.name
+	}
+	r := &chanRecver[T]{w: p.Blocker(c.recvWait)}
+	c.recvers = append(c.recvers, r)
+	r.w.Wait()
+	return r.v, r.ok
 }
 
 // TryRecv dequeues without blocking; ok is false when nothing was available
@@ -154,7 +162,7 @@ func (c *Chan[T]) Close() {
 	rs := c.recvers
 	c.recvers = nil
 	for _, r := range rs {
-		*r.ok = false
+		r.ok = false
 		r.w.Wake()
 	}
 	ss := c.senders
