@@ -99,16 +99,18 @@ b1-gate:
 	$(GO) test ./internal/bench -run '^TestB1McastGate$$' -v
 
 # allocs-gate pins the host cost of the simulation core's hot path: zero
-# allocations per scheduled callback and per Sleep resume (vtime), per
-# water-filling pass at 8 and 64 flows (fluid), at most two per fluid
-# transfer (the Flow and its Waker), plus the flight recorder's and the
-# aggregator's zero-allocation pins. It then prints the per-layer host-cost
-# microbenchmarks, which are not gated: wall-clock time depends on the host.
+# allocations per scheduled callback and per Sleep resume (vtime), at most
+# two per Spawn run to completion (the process record and its Proc handle;
+# the coroutine is reused), zero per water-filling pass at 8 and 64 flows
+# (fluid), at most two per fluid transfer (the Flow and its Waker), plus the
+# flight recorder's and the aggregator's zero-allocation pins. It then
+# prints the per-layer host-cost microbenchmarks, which are not gated:
+# wall-clock time depends on the host.
 allocs-gate:
 	$(GO) test ./internal/vtime ./internal/fluid -run 'Allocs' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs' -v
 	$(GO) test ./internal/agg -run 'AllocsNothing' -v
-	$(GO) test ./internal/vtime ./internal/fluid -run '^$$' -bench 'SimEvent|FluidTransfer' -benchmem
+	$(GO) test ./internal/vtime ./internal/fluid -run '^$$' -bench 'SimEvent|ProcSwitch|Spawn|FluidTransfer' -benchmem
 
 # soak runs the chaos property tests — random link flaps under load with
 # byte-identical payload, epoch-convergence and rail-readmission

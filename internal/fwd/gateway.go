@@ -38,6 +38,10 @@ type Gateway struct {
 	// frame is still streaming out.
 	txq map[*mad.Link]*gwEgress
 
+	// labels caches the per-message process, queue and trace-actor names,
+	// keyed by format and argument; see label.
+	labels map[[2]string]string
+
 	// Relay statistics (diagnostics and tests).
 	messages int64
 	packets  int64
@@ -67,7 +71,22 @@ type relayRing struct {
 func newGateway(vc *VirtualChannel, node *mad.Node) *Gateway {
 	return &Gateway{vc: vc, node: node, name: node.Name,
 		rings: make(map[string]*relayRing), scheds: make(map[string]*gwSched),
-		txq: make(map[*mad.Link]*gwEgress)}
+		txq: make(map[*mad.Link]*gwEgress), labels: make(map[[2]string]string)}
+}
+
+// label returns fmt.Sprintf(format, g.name, arg), formatted once per format
+// and argument. The relay pipelines name their sender processes, branch
+// queues and trace actors after the gateway and a network or next hop;
+// the names show in deadlock reports and traces, and are the same for
+// every message that takes the same path.
+func (g *Gateway) label(format, arg string) string {
+	k := [2]string{format, arg}
+	if s, ok := g.labels[k]; ok {
+		return s
+	}
+	s := fmt.Sprintf(format, g.name, arg)
+	g.labels[k] = s
+	return s
 }
 
 // gwEgressTx is one fully received single-transfer frame queued for
@@ -605,8 +624,8 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu i
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
 	outNet := out.Channel.Network().Name
-	recvActor := fmt.Sprintf("%s:recv:%s", g.name, inNet)
-	sendActor := fmt.Sprintf("%s:send:%s", g.name, outNet)
+	recvActor := g.label("%s:recv:%s", inNet)
+	sendActor := g.label("%s:send:%s", outNet)
 
 	ingressStatic := in.NIC().StaticBuffers
 	egressStatic := out.NIC().StaticBuffers
@@ -628,7 +647,7 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu i
 		}
 	}
 
-	sender := vc.sess.Platform.Sim.Spawn(fmt.Sprintf("gwsend:%s:%s", g.name, outNet), func(sp *vtime.Proc) {
+	sender := vc.sess.Platform.Sim.Spawn(g.label("gwsend:%s:%s", outNet), func(sp *vtime.Proc) {
 		for {
 			pkt, _ := r.full.Recv(sp)
 			if pkt.eom && pkt.data == nil {

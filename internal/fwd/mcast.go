@@ -749,7 +749,7 @@ func (g *Gateway) mcastPipeline(p *vtime.Proc, in *mad.Link, branches []*mcastEg
 	gwLabels := obs.Labels{"gateway": g.name}
 	host := g.node.Host
 	inNet := in.Channel.Network().Name
-	recvActor := fmt.Sprintf("%s:recv:%s", g.name, inNet)
+	recvActor := g.label("%s:recv:%s", inNet)
 	r := g.ring(inNet)
 	for i := 0; i < cfg.PipelineDepth; i++ {
 		r.free.TrySend(r.pool.get(mtu))
@@ -771,9 +771,9 @@ func (g *Gateway) mcastPipeline(p *vtime.Proc, in *mad.Link, branches []*mcastEg
 	for _, b := range branches {
 		b := b
 		outNet := b.hop.Network
-		b.q = vsync.NewChan[*mcastPkt](fmt.Sprintf("gwmq:%s>%s", g.name, b.hop.To), cfg.PipelineDepth)
-		sendActor := fmt.Sprintf("%s:send:%s", g.name, outNet)
-		b.proc = sim.Spawn(fmt.Sprintf("gwmsend:%s>%s", g.name, b.hop.To), func(sp *vtime.Proc) {
+		b.q = vsync.NewChan[*mcastPkt](g.label("gwmq:%s>%s", b.hop.To), cfg.PipelineDepth)
+		sendActor := g.label("%s:send:%s", outNet)
+		b.proc = sim.Spawn(g.label("gwmsend:%s>%s", b.hop.To), func(sp *vtime.Proc) {
 			g.fenceEgress(sp, b.out)
 			b.out.Acquire(sp)
 			defer b.out.Release(sp)

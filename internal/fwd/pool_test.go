@@ -1,6 +1,7 @@
 package fwd
 
 import (
+	"fmt"
 	"testing"
 
 	"madgo/internal/vtime/vsync"
@@ -98,5 +99,23 @@ func TestBufPoolCustomAllocator(t *testing.T) {
 	s.observe(bp)
 	if s.Gets != 2 || s.Puts != 2 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want gets 2 puts 2 misses 1", s)
+	}
+}
+
+// The relay pipelines name their sender processes, branch queues and trace
+// actors through Gateway.label: the names must read exactly as the format
+// spells them, and a repeated path must cost no formatting.
+func TestGatewayLabelFormatsOnce(t *testing.T) {
+	g := &Gateway{name: "gw", labels: make(map[[2]string]string)}
+	for _, c := range [][2]string{
+		{"gwsend:%s:%s", "myri0"}, {"%s:send:%s", "myri0"}, {"%s:recv:%s", "sci0"},
+		{"gwmq:%s>%s", "b1"}, {"gwmsend:%s>%s", "b1"},
+	} {
+		if got, want := g.label(c[0], c[1]), fmt.Sprintf(c[0], "gw", c[1]); got != want {
+			t.Errorf("label(%q, %q) = %q, want %q", c[0], c[1], got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { g.label("gwsend:%s:%s", "myri0") }); n != 0 {
+		t.Fatalf("a cached label allocates %.1f times, want 0", n)
 	}
 }

@@ -17,7 +17,7 @@ type proc struct {
 	sim     *Sim
 	id      int
 	name    string
-	resume  chan struct{}
+	co      *coro // runs the body; nil once the process is done
 	state   procState
 	gen     uint64 // bumped on every park; stale wake events are ignored
 	waiting string // human-readable blocking reason, for deadlock reports
@@ -29,7 +29,7 @@ type proc struct {
 // time: sleeping, parking, and spawning further processes. Every blocking
 // operation in the library takes the caller's Proc.
 //
-// A Proc must only be used from its own goroutine while that goroutine holds
+// A Proc must only be used from its own process body while that body holds
 // control (which is always the case in straight-line process code).
 type Proc struct {
 	p *proc
@@ -41,27 +41,21 @@ type Proc struct {
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 	s.nextID++
 	p := &proc{
-		sim:    s,
-		id:     s.nextID,
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateScheduled,
+		sim:   s,
+		id:    s.nextID,
+		name:  name,
+		state: stateScheduled,
+	}
+	if n := len(s.free); n > 0 {
+		p.co = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		p.co = newCoro()
 	}
 	s.live[p.id] = p
 	handle := &Proc{p: p}
-	go func() {
-		<-p.resume
-		var panicked interface{}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					panicked = r
-				}
-			}()
-			fn(handle)
-		}()
-		s.handoff <- yield{p: p, done: true, panicked: panicked}
-	}()
+	p.co.fn, p.co.pr = fn, handle
 	s.schedule(s.now, p, p.gen, nil, nil)
 	return handle
 }
@@ -102,8 +96,7 @@ func (pr *Proc) park(reason string) {
 	p.state = stateParked
 	p.gen++
 	p.waiting = reason
-	p.sim.handoff <- yield{p: p}
-	<-p.resume
+	p.co.yield(false)
 	p.waiting = ""
 }
 
@@ -133,8 +126,7 @@ func (pr *Proc) Sleep(d Duration) {
 	p.waiting = "sleep"
 	p.sim.schedule(p.sim.now.Add(d), p, p.gen, nil, nil)
 	p.state = stateScheduled
-	p.sim.handoff <- yield{p: p}
-	<-p.resume
+	p.co.yield(false)
 	p.waiting = ""
 }
 

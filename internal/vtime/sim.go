@@ -78,14 +78,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// yield is the message a process goroutine sends back to the scheduler when
-// it gives up control.
-type yield struct {
-	p        *proc
-	done     bool
-	panicked interface{}
-}
-
 // Sim is a discrete-event simulation. The zero value is not usable; create
 // simulations with New.
 //
@@ -95,8 +87,8 @@ type Sim struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	handoff chan yield
 	live    map[int]*proc
+	free    []*coro // coroutines of finished processes, reused by Spawn
 	nextID  int
 	running bool
 	current *proc
@@ -105,10 +97,7 @@ type Sim struct {
 
 // New creates an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{
-		handoff: make(chan yield),
-		live:    make(map[int]*proc),
-	}
+	return &Sim{live: make(map[int]*proc)}
 }
 
 // Now returns the current virtual time.
@@ -223,6 +212,13 @@ func (s *Sim) run(deadline Time) error {
 			return err
 		}
 	}
+	// The queue drained, so nothing runs again unless the host spawns more:
+	// end the idle coroutines rather than leave their goroutines behind.
+	for i, c := range s.free {
+		c.stop()
+		s.free[i] = nil
+	}
+	s.free = s.free[:0]
 	var stuck []string
 	for _, p := range s.live {
 		if !p.daemon {
@@ -239,29 +235,33 @@ func (s *Sim) run(deadline Time) error {
 	return nil
 }
 
-// resume transfers control to p and waits for it to park or finish. A
+// resume switches to p's coroutine and returns when p parks or finishes. A
 // non-nil error is an Abort raised by the process; it stops the run.
 func (s *Sim) resume(p *proc) error {
 	p.state = stateRunning
 	s.current = p
-	p.resume <- struct{}{}
-	y := <-s.handoff
+	c := p.co
+	done, alive := c.next()
 	s.current = nil
-	if y.panicked != nil {
-		if ab, ok := y.panicked.(Abort); ok {
-			y.p.state = stateDone
-			delete(s.live, y.p.id)
+	if !alive {
+		// The body panicked, which retired its coroutine.
+		p.co = nil
+		if ab, ok := c.panicked.(Abort); ok {
+			p.state = stateDone
+			delete(s.live, p.id)
 			return ab.Err
 		}
-		panic(fmt.Sprintf("vtime: process %q panicked: %v", y.p.name, y.panicked))
+		panic(fmt.Sprintf("vtime: process %q panicked: %v", p.name, c.panicked))
 	}
-	if y.done {
-		y.p.state = stateDone
-		delete(s.live, y.p.id)
-		for _, j := range y.p.joiners {
+	if done {
+		p.state = stateDone
+		p.co = nil
+		s.free = append(s.free, c)
+		delete(s.live, p.id)
+		for _, j := range p.joiners {
 			s.ready(j)
 		}
-		y.p.joiners = nil
+		p.joiners = nil
 	}
 	return nil
 }

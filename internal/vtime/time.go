@@ -1,11 +1,20 @@
 // Package vtime implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated threads ("processes") are ordinary goroutines, but the scheduler
-// runs exactly one of them at a time and hands control back and forth
-// explicitly, so a simulation is deterministic and free of data races by
-// construction. Time is virtual: it advances only when every runnable
-// process has blocked and the scheduler pops the next event.
+// Simulated threads ("processes") are runtime coroutines (iter.Pull). The
+// scheduler loop runs on the goroutine that called Run: resuming a process
+// switches directly to its coroutine, and the process switches back when
+// it parks, sleeps or returns. Exactly one of them runs at a time, so a
+// simulation is deterministic and free of data races by construction.
+// Callbacks scheduled with At and AtArg run in the scheduler loop itself.
+// Time is virtual: it advances only when every runnable process has
+// blocked and the scheduler pops the next event. A finished process hands
+// its coroutine to the next Spawn, so spawning a short-lived process per
+// message costs no new goroutine.
+//
+// A runtime.Goexit in a process body ends the goroutine that called Run,
+// as if the body had run on it. That makes t.Fatal and t.FailNow usable
+// inside process bodies in tests: the test stops instead of hanging.
 //
 // The kernel is the substrate for the Madeleine reproduction: communication
 // library threads (polling loops, gateway forwarding pipelines, application
