@@ -10,7 +10,7 @@ FUZZ_TARGETS = \
 	internal/health:FuzzHealthProbe internal/flow:FuzzFlowCredit \
 	internal/agg:FuzzAggFrame
 
-.PHONY: check build vet test race bench cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate allocs-gate soak
+.PHONY: check build vet test race bench bench-identical cover fuzz stripe-gate r2-gate o2-gate c1-gate m1-gate b1-gate allocs-gate soak
 
 # check includes the facade API-surface golden test (api_test.go vs
 # api.txt) via the race lane; regen the listing after an intentional API
@@ -39,6 +39,31 @@ bench:
 	$(GO) run ./cmd/madbench -json c1 > BENCH_c1.json
 	$(GO) run ./cmd/madbench -json m1 > BENCH_m1.json
 	$(GO) run ./cmd/madbench -json b1 > BENCH_b1.json
+
+# bench-identical regenerates every archived BENCH_*.json into a temporary
+# directory and fails on any difference from the committed file. The
+# simulation is deterministic, so a change that claims to leave behaviour
+# untouched must reproduce each archive byte for byte. The only lines
+# filtered out are the two wall-clock notes of BENCH_o2.json, which time the
+# host rather than the model.
+BENCH_IDS = b1 c1 m1 o1 o2 p1 r2 s1
+
+bench-identical:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; fail=0; \
+	for id in $(BENCH_IDS); do \
+		$(GO) run ./cmd/madbench -json $$id > "$$tmp/got.json"; \
+		cp BENCH_$$id.json "$$tmp/want.json"; \
+		if [ $$id = o2 ]; then \
+			grep -v ' wall-clock: ' "$$tmp/got.json" > "$$tmp/got.f" || true; \
+			grep -v ' wall-clock: ' "$$tmp/want.json" > "$$tmp/want.f" || true; \
+			mv "$$tmp/got.f" "$$tmp/got.json"; mv "$$tmp/want.f" "$$tmp/want.json"; \
+		fi; \
+		if diff -u "$$tmp/want.json" "$$tmp/got.json" > "$$tmp/diff"; then \
+			echo "BENCH_$$id.json: identical"; \
+		else \
+			echo "BENCH_$$id.json: differs from a fresh run"; cat "$$tmp/diff"; fail=1; \
+		fi; \
+	done; exit $$fail
 
 # stripe-gate archives the striping sweep and fails unless K=2 goodput on
 # the dual-rail topology is >= 1.5x the K=1 baseline at 64-128 KB. The
@@ -103,13 +128,16 @@ b1-gate:
 # two per Spawn run to completion (the process record and its Proc handle;
 # the coroutine is reused), zero per water-filling pass at 8 and 64 flows
 # (fluid), at most two per fluid transfer (the Flow and its Waker), plus the
-# flight recorder's and the aggregator's zero-allocation pins. It then
-# prints the per-layer host-cost microbenchmarks, which are not gated:
-# wall-clock time depends on the host.
+# flight recorder's and the aggregator's zero-allocation pins, and the
+# allocation count of one forwarded 1 KB eager message end to end (the
+# packer/unpacker dispatch adds none). It then prints the per-layer
+# host-cost microbenchmarks, which are not gated: wall-clock time depends
+# on the host.
 allocs-gate:
 	$(GO) test ./internal/vtime ./internal/fluid -run 'Allocs' -v
 	$(GO) test ./internal/flight -run 'ZeroAllocs' -v
 	$(GO) test ./internal/agg -run 'AllocsNothing' -v
+	$(GO) test ./internal/fwd -run '^TestForwardedSendAllocs$$' -v
 	$(GO) test ./internal/vtime ./internal/fluid -run '^$$' -bench 'SimEvent|ProcSwitch|Spawn|FluidTransfer' -benchmem
 
 # soak runs the chaos property tests — random link flaps under load with

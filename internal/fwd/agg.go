@@ -193,7 +193,7 @@ func (c *aggCoalescer) run(p *vtime.Proc) {
 // add coalesces one finished message (or, when it cannot fit even an empty
 // frame, drains the queue and bypasses). Called from aggPacking.end on the
 // application's process.
-func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total int) {
+func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []packedBlock, total int) {
 	vc := c.vc
 	st := vc.aggst
 	c.mu.Lock(p)
@@ -203,8 +203,7 @@ func (c *aggCoalescer) add(p *vtime.Proc, id uint64, blocks []relBlock, total in
 		// Larger than any frame this path can carry: preserve order by
 		// flushing what is queued, then send it the ordinary way.
 		c.flush(p, "ordering")
-		st.stats.BypassMessages++
-		vc.metrics().Add("madgo_agg_bypass_total", c.nodeLabels, 1)
+		c.noteBypass()
 		c.sendBypass(p, id, blocks)
 		return
 	}
@@ -280,35 +279,23 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 		// process (and, via mu, later adders) until the end-to-end ack —
 		// the same contract a reliable EndPacking has.
 		vc.rel[c.node.Name].sendMessageFlags(p, c.dst,
-			[]relBlock{{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}},
+			[]packedBlock{{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}},
 			frameID, relFlagAgg)
 	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 && int64(flen) >= vc.cfg.stripeThreshold():
 		// A frame past the stripe threshold rides the rails. Both end()
 		// fallback conditions are excluded here, so the agg flag cannot
 		// be lost to a plain replay.
-		sx := &stripePacking{
-			vc: vc, node: c.node, dst: c.dst, id: frameID, aggFlag: true,
-			blocks: []relBlock{{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}},
-			total:  int64(flen),
-		}
-		sx.end(p)
+		vc.stripeBuffered(p, c.node, c.dst, frameID,
+			[]packedBlock{{data: wire[gtmHeaderLen:], s: mad.SendCheaper, r: mad.ReceiveCheaper}}, true)
 	default:
 		// Single compact transfer toward the first gateway: one credit,
 		// one per-transfer overhead, however many messages inside. The
 		// routing header is written into the reserved prefix in place.
-		r, ok := vc.tbl.Lookup(c.node.Name, c.dst)
-		if !ok {
-			panic(fmt.Sprintf("fwd: no route %s -> %s", c.node.Name, c.dst))
-		}
-		hop := r[0]
-		spc, ok := vc.special[hop.Network]
-		if !ok {
-			panic("fwd: route crosses network without a special channel: " + hop.Network)
-		}
-		link := spc.Link(c.node.Rank, vc.NodeRank(hop.To))
+		hop := vc.mustRoute(c.node.Name, c.dst)[0]
+		link, gw := vc.egress(c.node.Rank, hop, hop.To == c.dst)
 		putGTMHeader(wire, c.node.Rank, vc.NodeRank(c.dst), c.mtu, frameID)
 		link.Acquire(p)
-		vc.flowSpend(p, hop.To, c.node.Name, frameID)
+		vc.flowSpend(p, gw, c.node.Name, frameID)
 		link.Send(p, mad.TxMeta{
 			SOM:  true,
 			EOM:  true,
@@ -329,62 +316,43 @@ func (c *aggCoalescer) flush(p *vtime.Proc, reason string) {
 // sendBypass replays one too-large message through the ordinary non-agg
 // path with its original pack modes (the receiver mirrors them against the
 // wire descriptors). Called with mu held, right after the ordering flush.
-func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []relBlock) {
+func (c *aggCoalescer) sendBypass(p *vtime.Proc, id uint64, blocks []packedBlock) {
 	vc := c.vc
-	if vc.cfg.Reliable {
+	switch {
+	case vc.cfg.Reliable:
 		vc.rel[c.node.Name].sendMessage(p, c.dst, blocks, id)
-		return
+	case len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2:
+		// Stripes, or falls back below the threshold.
+		vc.stripeBuffered(p, c.node, c.dst, id, blocks, false)
+	default:
+		x := vc.singleRail(p, c.node, c.dst, id, " (agg bypass)")
+		x.replay(p, blocks)
+		x.end(p)
 	}
-	if len(vc.stripeRoutes(c.node.Name, c.dst)) >= 2 {
-		sx := &stripePacking{vc: vc, node: c.node, dst: c.dst, id: id, blocks: blocks}
-		for _, b := range blocks {
-			sx.total += int64(len(b.data))
-		}
-		sx.end(p) // stripes, or falls back below the threshold
-		return
-	}
-	r, ok := vc.tbl.Lookup(c.node.Name, c.dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", c.node.Name, c.dst))
-	}
-	hop := r[0]
-	spc, ok := vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(c.node.Rank, vc.NodeRank(hop.To))
-	if vc.cfg.Eager {
-		g := newEagerPacking(p, vc, c.node, link, vc.NodeRank(c.dst), id)
-		for _, b := range blocks {
-			g.pack(p, b.data, b.s, b.r)
-		}
-		g.end(p)
-		return
-	}
-	g := newGTMPacking(p, vc, c.node, link, vc.NodeRank(c.dst), id)
-	for _, b := range blocks {
-		g.pack(p, b.data, b.s, b.r)
-	}
-	g.end(p)
+}
+
+// noteBypass counts one message that took the ordinary path instead of a
+// frame.
+func (c *aggCoalescer) noteBypass() {
+	c.vc.aggst.stats.BypassMessages++
+	c.vc.metrics().Add("madgo_agg_bypass_total", c.nodeLabels, 1)
 }
 
 // aggPacking is the sender side of an aggregated message: blocks are
 // buffered (like the reliable and stripe packings) and handed to the
 // coalescer at EndPacking. A message that outgrows the frame budget on a
-// streaming single-rail path spills to the ordinary streaming packing
-// mid-Pack, so large messages keep their fragment-level pipelining through
-// the gateways.
+// streaming single-rail path spills to that path mid-Pack, so large
+// messages keep their fragment-level pipelining through the gateways.
 type aggPacking struct {
 	vc     *VirtualChannel
 	node   *mad.Node
 	dst    string
 	id     uint64
-	blocks []relBlock
+	blocks []packedBlock
 	total  int
 
-	// spilled streaming path (exactly one is non-nil after a spill)
-	eager *eagerPacking
-	gtm   *gtmPacking
+	// spilled is the single-rail path after a spill, nil before.
+	spilled railPacker
 }
 
 func newAggPacking(vc *VirtualChannel, node *mad.Node, dst string) *aggPacking {
@@ -392,21 +360,11 @@ func newAggPacking(vc *VirtualChannel, node *mad.Node, dst string) *aggPacking {
 }
 
 func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	if ax.eager != nil {
-		ax.eager.pack(p, data, s, r)
+	if ax.spilled != nil {
+		ax.spilled.pack(p, data, s, r)
 		return
 	}
-	if ax.gtm != nil {
-		ax.gtm.pack(p, data, s, r)
-		return
-	}
-	host := ax.node.Host
-	p.Sleep(host.CPU.PackCost)
-	if s == mad.SendSafer {
-		host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-	}
-	ax.blocks = append(ax.blocks, relBlock{data: data, s: s, r: r})
+	ax.blocks = bufferBlock(p, ax.node.Host, ax.blocks, data, s, r)
 	ax.total += len(data)
 	vc := ax.vc
 	if !vc.cfg.Reliable && len(vc.stripeRoutes(ax.node.Name, ax.dst)) < 2 &&
@@ -415,55 +373,25 @@ func (ax *aggPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.Rec
 	}
 }
 
-// spill switches a message that outgrew the frame budget onto the ordinary
-// streaming path: any frame already queued flushes first (ordering), then
+// spill switches a message that outgrew the frame budget onto the
+// single-rail path: any frame already queued flushes first (ordering), then
 // the buffered blocks replay and subsequent packs stream directly. Only
 // reached on single-rail streaming routes — reliable and striped sends
 // buffer until EndPacking anyway, so they bypass in add() instead.
 func (ax *aggPacking) spill(p *vtime.Proc) {
-	vc := ax.vc
-	c := vc.aggCoalescer(ax.node, ax.dst)
+	c := ax.vc.aggCoalescer(ax.node, ax.dst)
 	c.mu.Lock(p)
 	c.flush(p, "ordering")
-	vc.aggst.stats.BypassMessages++
-	vc.metrics().Add("madgo_agg_bypass_total", c.nodeLabels, 1)
+	c.noteBypass()
 	c.mu.Unlock(p)
-	r, ok := vc.tbl.Lookup(ax.node.Name, ax.dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", ax.node.Name, ax.dst))
-	}
-	hop := r[0]
-	spc, ok := vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(ax.node.Rank, vc.NodeRank(hop.To))
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(ax.id, p.Now(), ax.node.Name, "pack",
-			fmt.Sprintf("agg spill -> %s via %s (outgrew frame budget)", ax.dst, hop.Network), ax.total)
-	}
-	blocks := ax.blocks
+	ax.spilled = ax.vc.singleRail(p, ax.node, ax.dst, ax.id, " (agg spill: outgrew frame budget)")
+	ax.spilled.replay(p, ax.blocks)
 	ax.blocks = nil
-	if vc.cfg.Eager {
-		ax.eager = newEagerPacking(p, vc, ax.node, link, vc.NodeRank(ax.dst), ax.id)
-		for _, b := range blocks {
-			ax.eager.pack(p, b.data, b.s, b.r)
-		}
-		return
-	}
-	ax.gtm = newGTMPacking(p, vc, ax.node, link, vc.NodeRank(ax.dst), ax.id)
-	for _, b := range blocks {
-		ax.gtm.pack(p, b.data, b.s, b.r)
-	}
 }
 
 func (ax *aggPacking) end(p *vtime.Proc) {
-	if ax.eager != nil {
-		ax.eager.end(p)
-		return
-	}
-	if ax.gtm != nil {
-		ax.gtm.end(p)
+	if ax.spilled != nil {
+		ax.spilled.end(p)
 		return
 	}
 	ax.vc.aggCoalescer(ax.node, ax.dst).add(p, ax.id, ax.blocks, ax.total)

@@ -456,3 +456,36 @@ func TestAggIncastWithManySenders(t *testing.T) {
 	cfg.CreditWindow = 8
 	runWall(t, wallCase{name: "star-64-agg", topo: starTopo, senders: 64, cfg: cfg})
 }
+
+// TestAggSpillSendSaferCopiesOnce is the regression test for a replayed
+// SendSafer block. The coalescer snapshots such a block when it is packed,
+// so the spill onto the eager stream must send those already-private bytes
+// without snapshotting (and charging Memcpy for) them a second time: one
+// 64 KB forwarded SendSafer message under Eager+Aggregation copies exactly
+// as many bytes as under Eager alone. The wire descriptor still says
+// SendSafer, so the receiver's mirror check is unchanged. A replay onto a
+// direct route is not covered here and keeps its copy: there the mad BMM
+// owns the SendSafer copy, as for any plain message.
+func TestAggSpillSendSaferCopiesOnce(t *testing.T) {
+	copied := func(aggregate bool) int64 {
+		cfg := fwd.DefaultConfig()
+		cfg.Eager = true
+		cfg.Aggregation = aggregate
+		w := build(t, paperHS(t), cfg)
+		blocks := []block{{pattern(64*1024, 4), mad.SendSafer, mad.ReceiveCheaper}}
+		got, fwded, _ := sendRecv(t, w, "a0", "b1", blocks)
+		if !fwded || !bytes.Equal(got[0], blocks[0].data) {
+			t.Fatal("SendSafer message corrupted or not forwarded")
+		}
+		if aggregate && w.vc.AggStats().BypassMessages != 1 {
+			t.Fatalf("64 KB message did not spill past the coalescer: %+v", w.vc.AggStats())
+		}
+		_, n := w.sess.Copies()
+		return n
+	}
+	eager, spilled := copied(false), copied(true)
+	if spilled != eager {
+		t.Errorf("spilled SendSafer message copied %d bytes, eager alone %d: the replay snapshotted the block again",
+			spilled, eager)
+	}
+}

@@ -3,7 +3,6 @@ package fwd
 import (
 	"fmt"
 
-	"madgo/internal/flight"
 	"madgo/internal/mad"
 	"madgo/internal/vtime"
 )
@@ -66,14 +65,23 @@ func newEagerPacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, link *ma
 func (g *eagerPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	if s == mad.SendSafer {
 		// Same contract as the GTM: honouring SendSafer needs an immediate
-		// snapshot, charged to the pack stage. All other modes are held by
-		// reference until the fragment flushes (at the next Pack or at
-		// EndPacking), which SendCheaper/SendLater permit.
-		t0 := p.Now()
-		g.node.Host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-		g.vc.flightRing(g.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), g.id, len(data), "")
+		// snapshot. All other modes are held by reference until the
+		// fragment flushes (at the next Pack or at EndPacking), which
+		// SendCheaper/SendLater permit.
+		data = g.vc.snapshot(p, g.node, g.id, data)
 	}
+	g.stage(p, data, s, r)
+}
+
+func (g *eagerPacking) replay(p *vtime.Proc, blocks []packedBlock) {
+	for _, b := range blocks {
+		g.stage(p, b.data, b.s, b.r)
+	}
+}
+
+// stage fragments one block the sender no longer touches, keeping its last
+// fragment staged for its EOM verdict.
+func (g *eagerPacking) stage(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	mad.ForEachFragment(len(data), g.mtu, func(off, n int) {
 		g.flushStaged(p, false)
 		g.sdata = data[off : off+n]

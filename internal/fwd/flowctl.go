@@ -134,9 +134,10 @@ func (fc *flowCtl) grant(gw, up string, n int) {
 }
 
 // flowSpend spends one credit toward gw when flow control is armed; a no-op
-// otherwise.
+// otherwise, and on a hop to the final destination (gw empty, see egress),
+// which answers to nobody.
 func (vc *VirtualChannel) flowSpend(p *vtime.Proc, gw, up string, msgID uint64) {
-	if vc.flowc != nil {
+	if vc.flowc != nil && gw != "" {
 		vc.flowc.spend(p, gw, up, msgID)
 	}
 }

@@ -226,9 +226,9 @@ func FuzzRelDesc(f *testing.F) {
 				return
 			}
 		}
-		blocks := make([]relBlock, len(desc))
+		blocks := make([]packedBlock, len(desc))
 		for i, d := range desc {
-			blocks[i] = relBlock{data: make([]byte, d.Size), s: d.S, r: d.R}
+			blocks[i] = packedBlock{data: make([]byte, d.Size), s: d.S, r: d.R}
 		}
 		if re := encodeRelDesc(mtu, blocks); !bytes.Equal(re, data) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", data, re)
@@ -322,8 +322,8 @@ func relAckSeeds() [][]byte {
 func relDescSeeds() [][]byte {
 	return [][]byte{
 		encodeRelDesc(4096, nil),
-		encodeRelDesc(1, []relBlock{{data: []byte("abc"), s: mad.SendCheaper, r: mad.ReceiveCheaper}}),
-		encodeRelDesc(65536, []relBlock{
+		encodeRelDesc(1, []packedBlock{{data: []byte("abc"), s: mad.SendCheaper, r: mad.ReceiveCheaper}}),
+		encodeRelDesc(65536, []packedBlock{
 			{data: make([]byte, 100), s: mad.SendSafer, r: mad.ReceiveExpress},
 			{data: nil, s: mad.SendLater, r: mad.ReceiveCheaper},
 		}),

@@ -132,9 +132,7 @@ func (g *Gateway) egress(out *mad.Link) *gwEgress {
 					return
 				}
 				out.Acquire(p)
-				if tx.nextGW != "" {
-					g.vc.flowSpend(p, tx.nextGW, g.name, tx.msgID)
-				}
+				g.vc.flowSpend(p, tx.nextGW, g.name, tx.msgID)
 				out.Send(p, tx.meta, tx.data)
 				out.Release(p)
 				e.inflight--
@@ -433,7 +431,6 @@ func (g *Gateway) forward(p *vtime.Proc, a *mad.Arrival) int64 {
 	if a.Kind() == mad.KindMcast {
 		return g.forwardMcast(p, a)
 	}
-	vc := g.vc
 	in := a.Link
 	in.AcquireRecv(p)
 	defer in.ReleaseRecv(p)
@@ -457,44 +454,10 @@ func (g *Gateway) forward(p *vtime.Proc, a *mad.Arrival) int64 {
 	if !ok {
 		panic("fwd: malformed GTM header at gateway " + g.name)
 	}
-	// The header transfer consumed one of the upstream sender's credits;
-	// it has been read out of the ingress slot, so return the credit.
-	up := in.Src.Name
-	vc.flowGrant(g.name, up, 1)
-	dstName := vc.sess.Node(dstRank).Name
-	hop, ok := vc.tbl.NextHop(g.name, dstName)
-	if !ok {
-		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
-	}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(msgID, p.Now(), g.name, "relay",
-			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
-	}
-	var outCh *mad.Channel
-	nextGW := ""
-	if hop.To == dstName {
-		outCh = vc.regular[hop.Network]
-	} else {
-		outCh = vc.special[hop.Network]
-		if outCh == nil {
-			panic("fwd: next-gateway hop without special channel on " + hop.Network)
-		}
-		// Relaying toward another gateway makes this gateway a sender in
-		// its own right: it spends credits toward the next hop, which is
-		// how backpressure propagates sender-ward across a gateway chain.
-		nextGW = hop.To
-	}
-	out := outCh.Link(g.node.Rank, vc.NodeRank(hop.To))
-	g.fenceEgress(p, out)
-	out.Acquire(p)
-	defer out.Release(p)
-	if nextGW != "" {
-		vc.flowSpend(p, nextGW, g.name, msgID)
-	}
-	out.Send(p, mad.TxMeta{SOM: true, Kind: meta.Kind,
-		Blocks: []mad.BlockDesc{{Size: hdrLen, S: mad.SendCheaper, R: mad.ReceiveExpress}}}, hdr)
-
-	g.pipeline(p, r, in, out, mtu, msgID, meta.Kind, up, nextGW)
+	out, up, nextGW := g.relayTo(p, in, dstRank, msgID)
+	g.relayStream(p, r, in, out, mad.TxMeta{SOM: true, Kind: meta.Kind,
+		Blocks: []mad.BlockDesc{{Size: hdrLen, S: mad.SendCheaper, R: mad.ReceiveExpress}}}, hdr,
+		mtu, msgID, up, nextGW)
 	g.messages++
 	return g.bytes - bytesBefore
 }
@@ -524,31 +487,7 @@ func (g *Gateway) forwardEager(p *vtime.Proc, a *mad.Arrival) int64 {
 	if !ok {
 		panic("fwd: malformed compact header at gateway " + g.name)
 	}
-	// The compact first transfer consumed one upstream credit; its slot is
-	// consumed here, so the credit goes straight back.
-	up := in.Src.Name
-	vc.flowGrant(g.name, up, 1)
-	dstName := vc.sess.Node(dstRank).Name
-	hop, ok := vc.tbl.NextHop(g.name, dstName)
-	if !ok {
-		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
-	}
-	if m := vc.metrics(); m != nil {
-		m.RecordHop(msgID, p.Now(), g.name, "relay",
-			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
-	}
-	var outCh *mad.Channel
-	nextGW := ""
-	if hop.To == dstName {
-		outCh = vc.regular[hop.Network]
-	} else {
-		outCh = vc.special[hop.Network]
-		if outCh == nil {
-			panic("fwd: next-gateway hop without special channel on " + hop.Network)
-		}
-		nextGW = hop.To
-	}
-	out := outCh.Link(g.node.Rank, vc.NodeRank(hop.To))
+	out, up, nextGW := g.relayTo(p, in, dstRank, msgID)
 	if n := len(frag); n > 0 {
 		g.packets++
 		g.bytes += int64(n)
@@ -566,16 +505,43 @@ func (g *Gateway) forwardEager(p *vtime.Proc, a *mad.Arrival) int64 {
 		g.sendEgress(p, out, gwEgressTx{meta: txMeta, data: slot, msgID: msgID, nextGW: nextGW})
 		return g.bytes - bytesBefore
 	}
+	g.relayStream(p, g.ring(in.Channel.Network().Name), in, out, txMeta, slot, mtu, msgID, up, nextGW)
+	return g.bytes - bytesBefore
+}
+
+// relayStream re-emits a message's first transfer on out and pipelines the
+// rest of its transfers through the ingress network's ring.
+func (g *Gateway) relayStream(p *vtime.Proc, r *relayRing, in, out *mad.Link, first mad.TxMeta, data []byte, mtu int, msgID uint64, up, nextGW string) {
 	g.fenceEgress(p, out)
 	out.Acquire(p)
 	defer out.Release(p)
-	if nextGW != "" {
-		vc.flowSpend(p, nextGW, g.name, msgID)
+	g.vc.flowSpend(p, nextGW, g.name, msgID)
+	out.Send(p, first, data)
+	g.pipeline(p, r, in, out, mtu, msgID, first.Kind, up, nextGW)
+}
+
+// relayTo is the routing prologue forward and forwardEager share, run once
+// a message's first transfer is out of the ingress slot: that transfer's
+// upstream credit goes back, the routing table names the next hop toward
+// dst, the relay is recorded, and egress picks the outgoing link. Relaying
+// toward another gateway (nextGW non-empty) makes this gateway a sender in
+// its own right: it spends credits toward the next hop, which is how
+// backpressure propagates sender-ward across a gateway chain.
+func (g *Gateway) relayTo(p *vtime.Proc, in *mad.Link, dst mad.Rank, msgID uint64) (out *mad.Link, up, nextGW string) {
+	vc := g.vc
+	up = in.Src.Name
+	vc.flowGrant(g.name, up, 1)
+	dstName := vc.sess.Node(dst).Name
+	hop, ok := vc.tbl.NextHop(g.name, dstName)
+	if !ok {
+		panic(fmt.Sprintf("fwd: gateway %s has no route to %s", g.name, dstName))
 	}
-	out.Send(p, txMeta, slot)
-	r := g.ring(in.Channel.Network().Name)
-	g.pipeline(p, r, in, out, mtu, msgID, meta.Kind, up, nextGW)
-	return g.bytes - bytesBefore
+	if m := vc.metrics(); m != nil {
+		m.RecordHop(msgID, p.Now(), g.name, "relay",
+			fmt.Sprintf("%s -> %s via %s", in.Channel.Network().Name, hop.To, hop.Network), 0)
+	}
+	out, nextGW = vc.egress(g.node.Rank, hop, hop.To == dstName)
+	return out, up, nextGW
 }
 
 // relayPacket is the unit handed from the receive thread to the send
@@ -654,15 +620,11 @@ func (g *Gateway) pipeline(p *vtime.Proc, r *relayRing, in, out *mad.Link, mtu i
 				// Bare terminator of the seed framing. The compact framings
 				// never produce one: their terminator rides on the last data
 				// packet (pkt.eom with data below).
-				if nextGW != "" {
-					vc.flowSpend(sp, nextGW, g.name, msgID)
-				}
+				vc.flowSpend(sp, nextGW, g.name, msgID)
 				out.Send(sp, mad.TxMeta{Kind: kind, EOM: true}, nil)
 				return
 			}
-			if nextGW != "" {
-				vc.flowSpend(sp, nextGW, g.name, msgID)
-			}
+			vc.flowSpend(sp, nextGW, g.name, msgID)
 			t0 := sp.Now()
 			out.Send(sp, mad.TxMeta{Kind: kind, EOM: pkt.eom, Blocks: pkt.desc}, pkt.data)
 			tr.Record(sendActor, "send", len(pkt.data), t0, sp.Now())

@@ -141,14 +141,21 @@ func newGTMPacking(p *vtime.Proc, vc *VirtualChannel, node *mad.Node, link *mad.
 func (g *gtmPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	if s == mad.SendSafer {
 		// The GTM always sends by reference; honouring SendSafer needs
-		// a snapshot. That copy is the only pack-stage cost of the
-		// streaming path (reference sends are free), so it alone is
-		// charged to the flight recorder's pack stage.
-		t0 := p.Now()
-		g.node.Host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-		g.vc.flightRing(g.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), g.id, len(data), "")
+		// a snapshot.
+		data = g.vc.snapshot(p, g.node, g.id, data)
 	}
+	g.send(p, data, s, r)
+}
+
+func (g *gtmPacking) replay(p *vtime.Proc, blocks []packedBlock) {
+	for _, b := range blocks {
+		g.send(p, b.data, b.s, b.r)
+	}
+}
+
+// send streams one block the sender no longer touches, one MTU-sized
+// packet per fragment.
+func (g *gtmPacking) send(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	net := g.link.Channel.Network().Name
 	mad.ForEachFragment(len(data), g.mtu, func(off, n int) {
 		g.vc.flowSpend(p, g.link.Dst.Name, g.node.Name, g.id)
@@ -169,6 +176,18 @@ func (g *gtmPacking) end(p *vtime.Proc) {
 	g.vc.flowSpend(p, g.link.Dst.Name, g.node.Name, g.id)
 	g.link.Send(p, mad.TxMeta{Kind: mad.KindGTM, EOM: true}, nil)
 	g.link.Release(p)
+}
+
+// snapshot copies a SendSafer block that a stream would otherwise hold by
+// reference. The copy is the only pack-stage cost of the streaming paths
+// (reference sends are free), so it alone is charged to the flight
+// recorder's pack stage.
+func (vc *VirtualChannel) snapshot(p *vtime.Proc, node *mad.Node, id uint64, data []byte) []byte {
+	t0 := p.Now()
+	node.Host.Memcpy(p, len(data))
+	data = append([]byte(nil), data...)
+	vc.flightRing(node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), id, len(data), "")
+	return data
 }
 
 // gtmUnpacking is the receiver side of the generic module, used when the

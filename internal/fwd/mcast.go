@@ -211,13 +211,6 @@ func (vc *VirtualChannel) mcastPlanFor(root string, dests []string) *mcastPlan {
 	return pl
 }
 
-// mcastBlock is one application block buffered by a multicast packing.
-type mcastBlock struct {
-	data []byte
-	s    mad.SendMode
-	r    mad.RecvMode
-}
-
 // mcastPacking is the sender side: blocks are buffered (multicast framing
 // needs the total size to pick compact vs streaming, and every branch
 // re-reads the same blocks), then EndPacking emits one stream per root
@@ -228,7 +221,7 @@ type mcastPacking struct {
 	dests []string // sorted, deduplicated, root excluded
 	id    uint64
 	total int
-	blks  []mcastBlock
+	blks  []packedBlock
 }
 
 // BeginMulticast starts a message to every named destination at once; the
@@ -262,19 +255,16 @@ func (e *Endpoint) BeginMulticast(p *vtime.Proc, dests ...string) *Packing {
 	if m := vc.metrics(); m != nil {
 		m.RecordHop(x.id, p.Now(), e.node.Name, "pack", fmt.Sprintf("mcast -> {%s}", strings.Join(ds, ",")), 0)
 	}
-	return &Packing{mcast: x, id: x.id}
+	return &Packing{x: x, id: x.id}
 }
 
 func (x *mcastPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
 	if s == mad.SendSafer {
 		// Same contract as the GTM: SendSafer needs an immediate snapshot;
 		// all other modes hold the block by reference until EndPacking.
-		t0 := p.Now()
-		x.node.Host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-		x.vc.flightRing(x.node.Name).Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), x.id, len(data), "")
+		data = x.vc.snapshot(p, x.node, x.id, data)
 	}
-	x.blks = append(x.blks, mcastBlock{data: data, s: s, r: r})
+	x.blks = append(x.blks, packedBlock{data: data, s: s, r: r})
 	x.total += len(data)
 }
 
@@ -310,22 +300,10 @@ func (x *mcastPacking) blockDescs() []mad.BlockDesc {
 // whole payload shares a transfer with the header, streaming otherwise. A
 // relaying branch travels on the network's special channel toward the next
 // gateway and spends one flow credit per transfer; a leaf branch goes
-// straight to its sole destination on the regular channel (a plain receiver
-// grants no credits back, so none are spent toward it).
+// straight to its sole destination on the regular channel (see egress).
 func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 	vc := x.vc
-	var ch *mad.Channel
-	spendTo := ""
-	if b.Relays() {
-		ch = vc.special[b.Hop.Network]
-		if ch == nil {
-			panic("fwd: multicast relay branch without special channel on " + b.Hop.Network)
-		}
-		spendTo = b.Hop.To
-	} else {
-		ch = vc.regular[b.Hop.Network]
-	}
-	link := ch.Link(x.node.Rank, vc.NodeRank(b.Hop.To))
+	link, spendTo := vc.egress(x.node.Rank, b.Hop, !b.Relays())
 	ranks := make([]mad.Rank, len(b.Dests))
 	for i, d := range b.Dests {
 		ranks[i] = vc.NodeRank(d)
@@ -348,9 +326,7 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 		if x.total > 0 {
 			x.node.Host.Memcpy(p, x.total)
 		}
-		if spendTo != "" {
-			vc.flowSpend(p, spendTo, x.node.Name, x.id)
-		}
+		vc.flowSpend(p, spendTo, x.node.Name, x.id)
 		link.Send(p, mad.TxMeta{SOM: true, EOM: true, Kind: mad.KindMcast,
 			Blocks: append([]mad.BlockDesc{mcastHdrDesc(len(hdr))}, x.blockDescs()...)}, frame)
 		if m := vc.metrics(); m != nil {
@@ -361,9 +337,7 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 	}
 	// Streaming: header first, then MTU-sized fragments; the terminator
 	// rides the last fragment's EOM flag (never a bare transfer).
-	if spendTo != "" {
-		vc.flowSpend(p, spendTo, x.node.Name, x.id)
-	}
+	vc.flowSpend(p, spendTo, x.node.Name, x.id)
 	link.Send(p, mad.TxMeta{SOM: true, Kind: mad.KindMcast,
 		Blocks: []mad.BlockDesc{mcastHdrDesc(len(hdr))}}, hdr)
 	frags := 0
@@ -381,9 +355,7 @@ func (x *mcastPacking) sendBranch(p *vtime.Proc, b route.McastBranch, mtu int) {
 		blk := blk
 		mad.ForEachFragment(len(blk.data), mtu, func(off, n int) {
 			frags--
-			if spendTo != "" {
-				vc.flowSpend(p, spendTo, x.node.Name, x.id)
-			}
+			vc.flowSpend(p, spendTo, x.node.Name, x.id)
 			link.Send(p, mad.TxMeta{EOM: frags == 0, Kind: mad.KindMcast,
 				Blocks: []mad.BlockDesc{{Size: n, S: blk.s, R: blk.r}}}, blk.data[off:off+n])
 		})
@@ -591,21 +563,10 @@ func (g *Gateway) mcastSplit(src mad.Rank, mtu int, msgID uint64, dests []mad.Ra
 		return groups[i].hop.To < groups[j].hop.To
 	})
 	for _, gr := range groups {
-		relays := gr.past || len(gr.ranks) > 1
-		var ch *mad.Channel
-		nextGW := ""
-		if relays {
-			ch = vc.special[gr.hop.Network]
-			if ch == nil {
-				panic("fwd: multicast relay branch without special channel on " + gr.hop.Network)
-			}
-			nextGW = gr.hop.To
-		} else {
-			ch = vc.regular[gr.hop.Network]
-		}
+		out, nextGW := vc.egress(g.node.Rank, gr.hop, !gr.past && len(gr.ranks) == 1)
 		branches = append(branches, &mcastEgressBranch{
 			hop:    gr.hop,
-			out:    ch.Link(g.node.Rank, vc.NodeRank(gr.hop.To)),
+			out:    out,
 			hdr:    encodeMcastHeader(src, mtu, msgID, gr.ranks),
 			nextGW: nextGW,
 		})
@@ -777,16 +738,12 @@ func (g *Gateway) mcastPipeline(p *vtime.Proc, in *mad.Link, branches []*mcastEg
 			g.fenceEgress(sp, b.out)
 			b.out.Acquire(sp)
 			defer b.out.Release(sp)
-			if b.nextGW != "" {
-				vc.flowSpend(sp, b.nextGW, g.name, msgID)
-			}
+			vc.flowSpend(sp, b.nextGW, g.name, msgID)
 			b.out.Send(sp, mad.TxMeta{SOM: true, Kind: mad.KindMcast,
 				Blocks: []mad.BlockDesc{mcastHdrDesc(len(b.hdr))}}, b.hdr)
 			for {
 				pkt, _ := b.q.Recv(sp)
-				if b.nextGW != "" {
-					vc.flowSpend(sp, b.nextGW, g.name, msgID)
-				}
+				vc.flowSpend(sp, b.nextGW, g.name, msgID)
 				t0 := sp.Now()
 				b.out.Send(sp, mad.TxMeta{Kind: mad.KindMcast, EOM: pkt.eom, Blocks: pkt.desc}, pkt.data)
 				tr.Record(sendActor, "send", len(pkt.data), t0, sp.Now())

@@ -5,6 +5,7 @@ import (
 
 	"madgo/internal/fwd"
 	"madgo/internal/mad"
+	"madgo/internal/vtime"
 )
 
 // Steady-state relays must not touch the allocator: after the first message
@@ -60,5 +61,46 @@ func TestGatewayRelayWarmPoolNoNewAllocations(t *testing.T) {
 					after.Gets, after.Puts)
 			}
 		})
+	}
+}
+
+// forwardedSendAllocs is the measured allocation count of one forwarded
+// 1 KB eager message, as TestForwardedSendAllocs drives it.
+const forwardedSendAllocs = 57
+
+// TestForwardedSendAllocs pins the host allocations of one forwarded 1 KB
+// eager message, from BeginPacking through EndUnpacking, so the per-message
+// dispatch (one packer and one unpacker interface value chosen at Begin*)
+// is shown to cost no allocation. The count includes the harness: the two
+// processes spawned per message and the simulation run that drives them.
+func TestForwardedSendAllocs(t *testing.T) {
+	cfg := fwd.DefaultConfig()
+	cfg.Eager = true
+	w := build(t, paperHS(t), cfg)
+	payload := pattern(1024, 5)
+	got := make([]byte, len(payload))
+	send := func(p *vtime.Proc) {
+		px := w.vc.At("a0").BeginPacking(p, "b1")
+		px.Pack(p, payload, mad.SendCheaper, mad.ReceiveCheaper)
+		px.EndPacking(p)
+	}
+	recv := func(p *vtime.Proc) {
+		u := w.vc.At("b1").BeginUnpacking(p)
+		u.Unpack(p, got, mad.SendCheaper, mad.ReceiveCheaper)
+		u.EndUnpacking(p)
+	}
+	one := func() {
+		w.sim.Spawn("send", send)
+		w.sim.Spawn("recv", recv)
+		if err := w.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one() // warm the links, relay rings and egress daemons
+	if n := testing.AllocsPerRun(100, one); n > forwardedSendAllocs {
+		t.Errorf("one forwarded 1 KB eager message allocates %.0f times, want <= %d", n, forwardedSendAllocs)
+	}
+	if string(got) != string(payload) {
+		t.Error("payload corrupted")
 	}
 }

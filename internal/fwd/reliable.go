@@ -349,7 +349,7 @@ func decodeRelAcks(pkt []byte) ([]relAckKey, bool) {
 // constraints the receiver's unpack calls must match.
 //
 //	mtu u32 | nblocks u32 | nblocks × (size u32 | sendMode u8 | recvMode u8)
-func encodeRelDesc(mtu int, blocks []relBlock) []byte {
+func encodeRelDesc(mtu int, blocks []packedBlock) []byte {
 	b := make([]byte, 8+6*len(blocks))
 	binary.LittleEndian.PutUint32(b[0:], uint32(mtu))
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(blocks)))
@@ -684,13 +684,13 @@ func (vc *VirtualChannel) buildReliable(buildTopo *topo.Topology) {
 // pack-time ID, blocking until the final destination's end-to-end
 // acknowledgement arrives. It runs in the application's process (called from
 // EndPacking).
-func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []relBlock, id uint64) {
+func (e *relEngine) sendMessage(p *vtime.Proc, dst string, blocks []packedBlock, id uint64) {
 	e.sendMessageFlags(p, dst, blocks, id, 0)
 }
 
 // sendMessageFlags is sendMessage with end-to-end packet flags (the
 // aggregate marker) stamped on every fragment.
-func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []relBlock, id uint64, msgFlags uint8) {
+func (e *relEngine) sendMessageFlags(p *vtime.Proc, dst string, blocks []packedBlock, id uint64, msgFlags uint8) {
 	pol := e.pol
 	// Per-path MTU: fragment at the most constrained network of the
 	// primary route. The descriptor carries the chosen size, so the
@@ -1674,13 +1674,6 @@ func (vc *VirtualChannel) DeliveryStats() DeliveryStats {
 	return s
 }
 
-// relBlock is one packed block buffered until EndPacking.
-type relBlock struct {
-	data []byte
-	s    mad.SendMode
-	r    mad.RecvMode
-}
-
 // relPacking is the sender side of a reliable message: blocks are buffered
 // (SendSafer pays its snapshot copy immediately, the others are referenced —
 // safe because EndPacking blocks until the message is end-to-end
@@ -1689,7 +1682,7 @@ type relPacking struct {
 	eng    *relEngine
 	dst    string
 	id     uint64
-	blocks []relBlock
+	blocks []packedBlock
 }
 
 func newRelPacking(eng *relEngine, dst string) *relPacking {
@@ -1697,15 +1690,9 @@ func newRelPacking(eng *relEngine, dst string) *relPacking {
 }
 
 func (rp *relPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	host := rp.eng.node.Host
 	t0 := p.Now()
-	p.Sleep(host.CPU.PackCost)
-	if s == mad.SendSafer {
-		host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-	}
+	rp.blocks = bufferBlock(p, rp.eng.node.Host, rp.blocks, data, s, r)
 	rp.eng.flight().Record(flight.KindPack, p.Now(), vtime.Since(p.Now(), t0), rp.id, len(data), "")
-	rp.blocks = append(rp.blocks, relBlock{data: data, s: s, r: r})
 }
 
 func (rp *relPacking) end(p *vtime.Proc) {

@@ -203,21 +203,15 @@ type stripeState struct {
 	// lastFrac remembers the previous quota fractions per pair so a
 	// changed split can be counted as a rebalance.
 	lastFrac map[[2]string][]float64
-	// rx is the per-receiver rail collection state.
-	rx map[mad.Rank]*stripeRx
+	// rx collects, per receiver, the rail sub-messages of each (origin,
+	// id) message until its rail set is complete.
+	rx map[mad.Rank]map[relMsgKey]*stripeGroup
 
 	// Counters (also exported through the obs registry).
 	messages      int64
 	rebalances    int64
 	railFailovers int64
 	railBytes     map[int]int64
-}
-
-// stripeRx collects the rail sub-messages arriving at one node until a
-// message's rail set is complete.
-type stripeRx struct {
-	groups map[relMsgKey]*stripeGroup
-	ready  []*stripeGroup
 }
 
 // stripeGroup is one striped message being collected at its destination.
@@ -261,7 +255,7 @@ func (vc *VirtualChannel) initStriping(bindings map[string]Binding) {
 		netRate:   make(map[string]float64),
 		railRate:  make(map[railKey]float64),
 		lastFrac:  make(map[[2]string][]float64),
-		rx:        make(map[mad.Rank]*stripeRx),
+		rx:        make(map[mad.Rank]map[relMsgKey]*stripeGroup),
 		railBytes: make(map[int]int64),
 	}
 	for _, nw := range vc.tp.Networks() {
@@ -433,7 +427,7 @@ type stripePacking struct {
 	node   *mad.Node
 	dst    string
 	id     uint64
-	blocks []relBlock
+	blocks []packedBlock
 	total  int64
 	// aggFlag stamps stripeFlagAgg on every rail header: the message body
 	// is an aggregate frame the receiver must decode after reassembly.
@@ -445,16 +439,7 @@ func newStripePacking(vc *VirtualChannel, node *mad.Node, dst string) *stripePac
 }
 
 func (sx *stripePacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
-	host := sx.node.Host
-	p.Sleep(host.CPU.PackCost)
-	if s == mad.SendSafer {
-		// Buffering by reference would let the application overwrite the
-		// block before the rails read it; snapshot now, as SendSafer
-		// promises.
-		host.Memcpy(p, len(data))
-		data = append([]byte(nil), data...)
-	}
-	sx.blocks = append(sx.blocks, relBlock{data: data, s: s, r: r})
+	sx.blocks = bufferBlock(p, sx.node.Host, sx.blocks, data, s, r)
 	sx.total += int64(len(data))
 }
 
@@ -550,41 +535,24 @@ func (vc *VirtualChannel) railMTU(r route.Route) int {
 func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int, spanStart, spanLen int64) {
 	vc := sx.vc
 	hop := r[0]
-	dstRank := vc.NodeRank(sx.dst)
-	var link *mad.Link
-	if r.Direct() {
-		link = vc.regular[hop.Network].Link(sx.node.Rank, dstRank)
-	} else {
-		spc, ok := vc.special[hop.Network]
-		if !ok {
-			panic("fwd: stripe rail crosses network without a special channel: " + hop.Network)
-		}
-		link = spc.Link(sx.node.Rank, vc.NodeRank(hop.To))
-	}
+	// Rails that relay through a gateway spend credits like any other
+	// sender; direct rails answer to nobody (gw stays empty).
+	link, gw := vc.egress(sx.node.Rank, hop, hop.To == sx.dst)
 	mtu := vc.railMTU(r)
 	var flags uint16
-	if !r.Direct() {
+	if gw != "" {
 		flags |= stripeFlagForwarded
 	}
 	if sx.aggFlag {
 		flags |= stripeFlagAgg
 	}
-	// Rails that relay through a gateway spend credits like any other
-	// sender; direct rails answer to nobody (no-op with flow control off
-	// and on direct rails, where gw stays empty).
-	gw := ""
-	if !r.Direct() {
-		gw = hop.To
-	}
 	tr := vc.cfg.Tracer
 	t0 := p.Now()
 	link.Acquire(p)
-	if gw != "" {
-		vc.flowSpend(p, gw, sx.node.Name, sx.id)
-	}
+	vc.flowSpend(p, gw, sx.node.Name, sx.id)
 	link.Send(p, mad.TxMeta{SOM: true, Kind: mad.KindStripe, Blocks: stripeHeaderDesc},
 		encodeStripeHeader(stripeHdr{
-			src: sx.node.Rank, dst: dstRank, mtu: mtu, id: sx.id,
+			src: sx.node.Rank, dst: vc.NodeRank(sx.dst), mtu: mtu, id: sx.id,
 			rail: rail, nrails: nrails, flags: flags,
 			spanStart: spanStart, spanLen: spanLen, total: sx.total,
 		}))
@@ -605,9 +573,7 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 			if n > int64(mtu) {
 				n = int64(mtu)
 			}
-			if gw != "" {
-				vc.flowSpend(p, gw, sx.node.Name, sx.id)
-			}
+			vc.flowSpend(p, gw, sx.node.Name, sx.id)
 			link.Send(p, mad.TxMeta{
 				Kind:   mad.KindStripe,
 				Blocks: []mad.BlockDesc{{Size: int(n), S: b.s, R: b.r}},
@@ -617,49 +583,32 @@ func (sx *stripePacking) sendRail(p *vtime.Proc, r route.Route, rail, nrails int
 			off += n
 		}
 	}
-	if gw != "" {
-		vc.flowSpend(p, gw, sx.node.Name, sx.id)
-	}
+	vc.flowSpend(p, gw, sx.node.Name, sx.id)
 	link.Send(p, mad.TxMeta{Kind: mad.KindStripe, EOM: true}, nil)
 	link.Release(p)
 	tr.Record(fmt.Sprintf("stripe:%s>%s", sx.node.Name, sx.dst), fmt.Sprintf("rail%d", rail),
 		int(spanLen), t0, p.Now())
 }
 
-// fallback replays the buffered blocks through the ordinary single-rail
-// path: a plain message on the regular channel for a direct route, a GTM
-// stream toward the first gateway otherwise. Costs the extra buffering
-// pass; messages this small are latency-bound anyway.
+// fallback replays the buffered blocks through the single-rail path,
+// framed exactly as BeginPacking would have sent them. Costs the extra
+// buffering pass; messages this small are latency-bound anyway.
 func (sx *stripePacking) fallback(p *vtime.Proc) {
-	vc := sx.vc
-	r, ok := vc.tbl.Lookup(sx.node.Name, sx.dst)
-	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", sx.node.Name, sx.dst))
+	x := sx.vc.singleRail(p, sx.node, sx.dst, sx.id, " (below stripe threshold)")
+	x.replay(p, sx.blocks)
+	x.end(p)
+}
+
+// stripeBuffered sends an already buffered message (a coalescer bypass or
+// an aggregate frame) the way a stripePacking would at EndPacking: across
+// the pair's rails, or through the single-rail fallback. aggFlag marks an
+// aggregate frame for decoding after reassembly.
+func (vc *VirtualChannel) stripeBuffered(p *vtime.Proc, node *mad.Node, dst string, id uint64, blocks []packedBlock, aggFlag bool) {
+	sx := &stripePacking{vc: vc, node: node, dst: dst, id: id, blocks: blocks, aggFlag: aggFlag}
+	for _, b := range blocks {
+		sx.total += int64(len(b.data))
 	}
-	hop := r[0]
-	if r.Direct() {
-		ep := vc.regular[hop.Network].At(sx.node)
-		vc.metrics().RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
-			fmt.Sprintf("direct -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
-		px := ep.BeginPacking(p, vc.NodeRank(sx.dst))
-		for _, b := range sx.blocks {
-			px.Pack(p, b.data, b.s, b.r)
-		}
-		px.EndPacking(p)
-		return
-	}
-	spc, ok := vc.special[hop.Network]
-	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
-	}
-	link := spc.Link(sx.node.Rank, vc.NodeRank(hop.To))
-	vc.metrics().RecordHop(sx.id, p.Now(), sx.node.Name, "pack",
-		fmt.Sprintf("gtm -> %s via %s (below stripe threshold)", sx.dst, hop.Network), 0)
-	g := newGTMPacking(p, vc, sx.node, link, vc.NodeRank(sx.dst), sx.id)
-	for _, b := range sx.blocks {
-		g.pack(p, b.data, b.s, b.r)
-	}
-	g.end(p)
+	sx.end(p)
 }
 
 // sendStriped pushes one full copy of a reliable message toward dst across
@@ -795,16 +744,6 @@ func (e *relEngine) sendStriped(p *vtime.Proc, dst string, ds []relData, rails [
 	return true
 }
 
-// stripeRxAt returns (creating) the rail collection state of one receiver.
-func (vc *VirtualChannel) stripeRxAt(rank mad.Rank) *stripeRx {
-	st, ok := vc.stripe.rx[rank]
-	if !ok {
-		st = &stripeRx{groups: make(map[relMsgKey]*stripeGroup)}
-		vc.stripe.rx[rank] = st
-	}
-	return st
-}
-
 // openStripeRail opens one announced rail sub-message: it acquires the
 // link, reads the rail header, and files the rail under its (origin, id)
 // group. It returns the group when this rail completed it, nil otherwise.
@@ -823,12 +762,16 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a *mad.A
 	if h.dst != node.Rank {
 		panic(fmt.Sprintf("fwd: misrouted rail: %s received a rail for rank %d", node.Name, h.dst))
 	}
-	st := vc.stripeRxAt(node.Rank)
+	groups := vc.stripe.rx[node.Rank]
+	if groups == nil {
+		groups = make(map[relMsgKey]*stripeGroup)
+		vc.stripe.rx[node.Rank] = groups
+	}
 	key := relMsgKey{origin: h.src, id: h.id}
-	g := st.groups[key]
+	g := groups[key]
 	if g == nil {
 		g = &stripeGroup{key: key, total: h.total}
-		st.groups[key] = g
+		groups[key] = g
 	}
 	if g.seen[h.rail] {
 		panic(fmt.Sprintf("fwd: duplicate rail %d of message %d on %s", h.rail, h.id, node.Name))
@@ -842,7 +785,7 @@ func (vc *VirtualChannel) openStripeRail(p *vtime.Proc, node *mad.Node, a *mad.A
 	}
 	g.rails = append(g.rails, &stripeRail{link: link, hdr: h})
 	if len(g.rails) == h.nrails {
-		delete(st.groups, key)
+		delete(groups, key)
 		return g
 	}
 	return nil

@@ -558,20 +558,88 @@ func (vc *VirtualChannel) At(name string) *Endpoint {
 // Node returns the endpoint's session node.
 func (e *Endpoint) Node() *mad.Node { return e.node }
 
-// Packing is an outgoing message on a virtual channel. Depending on the
-// route it is either a plain Madeleine message on the regular channel or a
-// self-described GTM message on the special channel toward the first
-// gateway; the application cannot tell the difference.
+// packer is one send-path variant behind a Packing: a plain Madeleine
+// message, a GTM or compact (eager) stream toward the first gateway, or one
+// of the buffering senders (coalescer, stripes, reliable datagrams,
+// multicast). BeginPacking and BeginMulticast choose it once per message.
+type packer interface {
+	pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode)
+	end(p *vtime.Proc)
+}
+
+// railPacker is a single-rail send path, as singleRail opens it. replay
+// sends blocks a buffering packer already holds: their SendSafer blocks
+// were snapshotted when first packed, so a stream sends them without a
+// second copy.
+type railPacker interface {
+	packer
+	replay(p *vtime.Proc, blocks []packedBlock)
+}
+
+// unpacker is one receive-path variant behind an Unpacking, chosen once by
+// BeginUnpacking from the arrival.
+type unpacker interface {
+	unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode)
+	end(p *vtime.Proc)
+}
+
+// packedBlock is one application block held by a buffering packer until
+// EndPacking, or handed to a single-rail path for replay.
+type packedBlock struct {
+	data []byte
+	s    mad.SendMode
+	r    mad.RecvMode
+}
+
+// bufferBlock appends one block to a buffering packer's list, charging the
+// per-block pack cost. A SendSafer block is snapshotted first: the
+// application may overwrite it once Pack returns, long before EndPacking
+// sends it.
+func bufferBlock(p *vtime.Proc, host *hw.Host, blocks []packedBlock, data []byte, s mad.SendMode, r mad.RecvMode) []packedBlock {
+	p.Sleep(host.CPU.PackCost)
+	if s == mad.SendSafer {
+		host.Memcpy(p, len(data))
+		data = append([]byte(nil), data...)
+	}
+	return append(blocks, packedBlock{data: data, s: s, r: r})
+}
+
+// plainPacking adapts a direct Madeleine message on a regular channel.
+type plainPacking struct{ *mad.Packing }
+
+func (x plainPacking) pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMode) {
+	x.Pack(p, data, s, r)
+}
+
+func (x plainPacking) end(p *vtime.Proc) { x.EndPacking(p) }
+
+// replay packs every block again: on a direct route the mad BMM owns the
+// SendSafer copy, as for any plain message.
+func (x plainPacking) replay(p *vtime.Proc, blocks []packedBlock) {
+	for _, b := range blocks {
+		x.Pack(p, b.data, b.s, b.r)
+	}
+}
+
+// plainUnpacking adapts a direct Madeleine message on a regular channel.
+type plainUnpacking struct{ *mad.Unpacking }
+
+func (u plainUnpacking) unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.RecvMode) {
+	u.Unpack(p, dst, s, r)
+}
+
+func (u plainUnpacking) end(p *vtime.Proc) { u.EndUnpacking(p) }
+
+// Packing is an outgoing message on a virtual channel. Its send path is
+// chosen once, at BeginPacking (or BeginMulticast): a plain Madeleine
+// message on the regular channel, a self-described stream on the special
+// channel toward the first gateway, or a buffering sender that coalesces,
+// stripes, acknowledges or replicates it. The application cannot tell the
+// difference.
 type Packing struct {
-	plain  *mad.Packing
-	gtm    *gtmPacking
-	eager  *eagerPacking
-	agg    *aggPacking
-	rel    *relPacking
-	stripe *stripePacking
-	mcast  *mcastPacking
-	id     uint64
-	ended  bool
+	x     packer
+	id    uint64
+	ended bool
 }
 
 // MsgID returns the message's channel-global ID, assigned at BeginPacking.
@@ -586,72 +654,104 @@ func (e *Endpoint) BeginPacking(p *vtime.Proc, dst string) *Packing {
 	if dst == e.node.Name {
 		panic("fwd: message to self on " + dst)
 	}
+	vc := e.vc
+	m := vc.metrics()
 	// Aggregation: every message toward a forwarded (multi-network)
 	// destination is offered to the coalescer; messages that turn out too
-	// large bypass (or spill back to the streaming path) from there.
-	if e.vc.cfg.Aggregation {
-		if r, ok := e.vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
-			ax := newAggPacking(e.vc, e.node, dst)
-			if m := e.vc.metrics(); m != nil {
+	// large spill (or bypass) to the ordinary path from there.
+	if vc.cfg.Aggregation {
+		if r, ok := vc.tbl.Lookup(e.node.Name, dst); ok && !r.Direct() {
+			ax := newAggPacking(vc, e.node, dst)
+			if m != nil {
 				m.RecordHop(ax.id, p.Now(), e.node.Name, "pack", "agg -> "+dst, 0)
 			}
-			return &Packing{agg: ax, id: ax.id}
+			return &Packing{x: ax, id: ax.id}
 		}
 	}
-	if e.vc.cfg.Reliable {
+	switch {
+	case vc.cfg.Reliable:
 		// Reliable datagram mode: every message, direct or forwarded,
-		// takes the uniform packet path; routes are found per packet
-		// so they can change under faults.
-		if _, ok := e.vc.nodes[dst]; !ok {
+		// takes the uniform packet path; routes are found per packet so
+		// they can change under faults.
+		if _, ok := vc.nodes[dst]; !ok {
 			panic("fwd: unknown destination " + dst)
 		}
-		rp := newRelPacking(e.vc.rel[e.node.Name], dst)
-		if m := e.vc.metrics(); m != nil {
+		rp := newRelPacking(vc.rel[e.node.Name], dst)
+		if m != nil {
 			m.RecordHop(rp.id, p.Now(), e.node.Name, "pack", "reliable -> "+dst, 0)
 		}
-		return &Packing{rel: rp, id: rp.id}
-	}
-	// Striping: when the pair has at least two disjoint rails, buffer the
-	// message and let EndPacking split it (or fall back to the single-rail
-	// path below the size threshold).
-	if len(e.vc.stripeRoutes(e.node.Name, dst)) >= 2 {
-		sx := newStripePacking(e.vc, e.node, dst)
-		if m := e.vc.metrics(); m != nil {
+		return &Packing{x: rp, id: rp.id}
+	case len(vc.stripeRoutes(e.node.Name, dst)) >= 2:
+		// Striping: buffer the message and let EndPacking split it (or
+		// fall back to the single-rail path below the size threshold).
+		sx := newStripePacking(vc, e.node, dst)
+		if m != nil {
 			m.RecordHop(sx.id, p.Now(), e.node.Name, "pack",
-				fmt.Sprintf("stripe -> %s (%d rails)", dst, len(e.vc.stripeRoutes(e.node.Name, dst))), 0)
+				fmt.Sprintf("stripe -> %s (%d rails)", dst, len(vc.stripeRoutes(e.node.Name, dst))), 0)
 		}
-		return &Packing{stripe: sx, id: sx.id}
+		return &Packing{x: sx, id: sx.id}
 	}
-	r, ok := e.vc.tbl.Lookup(e.node.Name, dst)
+	id := vc.nextMsgID()
+	return &Packing{x: vc.singleRail(p, e.node, dst, id, ""), id: id}
+}
+
+// mustRoute returns the routing table's route from src to dst; a missing
+// route is a configuration error.
+func (vc *VirtualChannel) mustRoute(src, dst string) route.Route {
+	r, ok := vc.tbl.Lookup(src, dst)
 	if !ok {
-		panic(fmt.Sprintf("fwd: no route %s -> %s", e.node.Name, dst))
+		panic(fmt.Sprintf("fwd: no route %s -> %s", src, dst))
 	}
-	hop := r[0]
-	if r.Direct() {
-		ep := e.vc.regular[hop.Network].At(e.node)
-		id := e.vc.nextMsgID()
-		if m := e.vc.metrics(); m != nil {
-			m.RecordHop(id, p.Now(), e.node.Name, "pack", fmt.Sprintf("direct -> %s via %s", dst, hop.Network), 0)
+	return r
+}
+
+// singleRail opens the single-route send path of one message; it is the
+// one place that picks a unicast framing. A destination sharing a network
+// with the sender gets a plain Madeleine message on the regular channel;
+// any other gets a self-described stream toward the first gateway, compact
+// (eager.go) under Config.Eager and the seed GTM framing otherwise.
+// BeginPacking, the coalescer's spill and bypass, and the stripe fallback
+// all open their messages here, so a buffered message is replayed exactly
+// as BeginPacking would have sent it. why qualifies the pack record of
+// such a replay.
+func (vc *VirtualChannel) singleRail(p *vtime.Proc, node *mad.Node, dst string, id uint64, why string) railPacker {
+	hop := vc.mustRoute(node.Name, dst)[0]
+	link, gw := vc.egress(node.Rank, hop, hop.To == dst)
+	m := vc.metrics()
+	if gw == "" {
+		if m != nil {
+			m.RecordHop(id, p.Now(), node.Name, "pack", fmt.Sprintf("direct -> %s via %s%s", dst, hop.Network, why), 0)
 		}
-		return &Packing{plain: ep.BeginPacking(p, e.vc.NodeRank(dst)), id: id}
+		return plainPacking{link.Channel.At(node).BeginPacking(p, link.Dst.Rank)}
 	}
-	spc, ok := e.vc.special[hop.Network]
+	var x railPacker
+	kind := "gtm"
+	if vc.cfg.Eager {
+		x, kind = newEagerPacking(p, vc, node, link, vc.NodeRank(dst), id), "eager"
+	} else {
+		x = newGTMPacking(p, vc, node, link, vc.NodeRank(dst), id)
+	}
+	if m != nil {
+		m.RecordHop(id, p.Now(), node.Name, "pack", fmt.Sprintf("%s -> %s via %s%s", kind, dst, hop.Network, why), 0)
+	}
+	return x
+}
+
+// egress is the virtual channel's channel rule (§2.2.1), applied to one hop
+// leaving the node of rank from. A hop that ends at the message's final
+// (sole) destination takes the regular channel and spends no flow credits:
+// a plain receiver grants none back. Any other hop takes the special
+// channel toward gateway hop.To, which is also the flow-credit target gw
+// (empty on the regular channel).
+func (vc *VirtualChannel) egress(from mad.Rank, hop route.Hop, final bool) (link *mad.Link, gw string) {
+	if final {
+		return vc.regular[hop.Network].Link(from, vc.NodeRank(hop.To)), ""
+	}
+	spc, ok := vc.special[hop.Network]
 	if !ok {
-		panic("fwd: route crosses network without a special channel: " + hop.Network)
+		panic("fwd: hop toward gateway " + hop.To + " crosses network without a special channel: " + hop.Network)
 	}
-	link := spc.Link(e.node.Rank, e.vc.NodeRank(hop.To))
-	if e.vc.cfg.Eager {
-		g := newEagerPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-		if m := e.vc.metrics(); m != nil {
-			m.RecordHop(g.id, p.Now(), e.node.Name, "pack", fmt.Sprintf("eager -> %s via %s", dst, hop.Network), 0)
-		}
-		return &Packing{eager: g, id: g.id}
-	}
-	g := newGTMPacking(p, e.vc, e.node, link, e.vc.NodeRank(dst), e.vc.nextMsgID())
-	if m := e.vc.metrics(); m != nil {
-		m.RecordHop(g.id, p.Now(), e.node.Name, "pack", fmt.Sprintf("gtm -> %s via %s", dst, hop.Network), 0)
-	}
-	return &Packing{gtm: g, id: g.id}
+	return spc.Link(from, vc.NodeRank(hop.To)), hop.To
 }
 
 // Pack appends one block, as in the mad layer.
@@ -659,31 +759,7 @@ func (px *Packing) Pack(p *vtime.Proc, data []byte, s mad.SendMode, r mad.RecvMo
 	if px.ended {
 		panic("fwd: Pack after EndPacking")
 	}
-	if px.plain != nil {
-		px.plain.Pack(p, data, s, r)
-		return
-	}
-	if px.agg != nil {
-		px.agg.pack(p, data, s, r)
-		return
-	}
-	if px.rel != nil {
-		px.rel.pack(p, data, s, r)
-		return
-	}
-	if px.stripe != nil {
-		px.stripe.pack(p, data, s, r)
-		return
-	}
-	if px.mcast != nil {
-		px.mcast.pack(p, data, s, r)
-		return
-	}
-	if px.eager != nil {
-		px.eager.pack(p, data, s, r)
-		return
-	}
-	px.gtm.pack(p, data, s, r)
+	px.x.pack(p, data, s, r)
 }
 
 // EndPacking completes the message.
@@ -692,45 +768,16 @@ func (px *Packing) EndPacking(p *vtime.Proc) {
 		panic("fwd: double EndPacking")
 	}
 	px.ended = true
-	if px.plain != nil {
-		px.plain.EndPacking(p)
-		return
-	}
-	if px.agg != nil {
-		px.agg.end(p)
-		return
-	}
-	if px.rel != nil {
-		px.rel.end(p)
-		return
-	}
-	if px.stripe != nil {
-		px.stripe.end(p)
-		return
-	}
-	if px.mcast != nil {
-		px.mcast.end(p)
-		return
-	}
-	if px.eager != nil {
-		px.eager.end(p)
-		return
-	}
-	px.gtm.end(p)
+	px.x.end(p)
 }
 
-// Unpacking is an incoming message on a virtual channel.
+// Unpacking is an incoming message on a virtual channel. Its receive path
+// is chosen once, at BeginUnpacking, from the arrival's kind.
 type Unpacking struct {
-	plain  *mad.Unpacking
-	gtm    *gtmUnpacking
-	eager  *eagerUnpacking
-	agg    *aggUnpacking
-	rel    *relUnpacking
-	stripe *stripeUnpacking
-	mcast  *mcastUnpacking
-	from   mad.Rank
-	fwd    bool
-	ended  bool
+	u     unpacker
+	from  mad.Rank
+	fwd   bool
+	ended bool
 }
 
 // BeginUnpacking blocks until a message arrives on any of the node's
@@ -739,88 +786,66 @@ type Unpacking struct {
 // Generic one, it needs some additional information ... transmitted before
 // the actual message body" (§2.2.2).
 func (e *Endpoint) BeginUnpacking(p *vtime.Proc) *Unpacking {
+	vc := e.vc
 	p.Sleep(e.node.Host.CPU.PollCost)
 	for {
 		// Sub-messages decoded from an earlier aggregate frame are
 		// delivered FIFO before anything newer.
-		if as, ok := e.vc.aggPop(e.node.Rank); ok {
-			return &Unpacking{agg: newAggUnpacking(e.vc, e.node, as), from: as.from, fwd: true}
+		if as, ok := vc.aggPop(e.node.Rank); ok {
+			return &Unpacking{u: newAggUnpacking(vc, e.node, as), from: as.from, fwd: true}
 		}
-		// A striped message completed by an earlier arrival round is
-		// delivered before pulling new announcements.
-		if st := e.stripeRx(); st != nil && len(st.ready) > 0 {
-			g := st.ready[0]
-			st.ready = st.ready[1:]
-			if g.agg {
-				e.vc.aggDecodeStriped(p, e.node, g)
-				continue
-			}
-			su := newStripeUnpacking(e.vc, e.node, g)
-			return &Unpacking{stripe: su, from: su.from(), fwd: su.forwarded()}
-		}
-		in, ok := e.vc.merged[e.node.Rank].Recv(p)
+		in, ok := vc.merged[e.node.Rank].Recv(p)
 		if !ok {
 			panic("fwd: merged arrival queue closed")
 		}
 		if in.mcast != nil {
 			// A multicast message the local gateway captured while
 			// replicating it downstream.
-			g := newMcastLocalUnpacking(e.vc, e.node, in.mcast)
-			return &Unpacking{mcast: g, from: g.from, fwd: true}
+			g := newMcastLocalUnpacking(vc, e.node, in.mcast)
+			return &Unpacking{u: g, from: g.from, fwd: true}
 		}
 		if in.rel != nil {
 			if in.rel.agg {
-				e.vc.aggDecodeReliable(p, e.node, in.rel)
+				vc.aggDecodeReliable(p, e.node, in.rel)
 				continue
 			}
-			ru := newRelUnpacking(e.vc.rel[e.node.Name], in.rel)
-			srcName := e.vc.sess.Node(in.rel.origin).Name
-			fwd := len(e.vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
-			return &Unpacking{rel: ru, from: in.rel.origin, fwd: fwd}
+			ru := newRelUnpacking(vc.rel[e.node.Name], in.rel)
+			srcName := vc.sess.Node(in.rel.origin).Name
+			fwd := len(vc.tp.SharedNetworks(srcName, e.node.Name)) == 0
+			return &Unpacking{u: ru, from: in.rel.origin, fwd: fwd}
 		}
-		if in.a.Kind() == mad.KindStripe {
+		switch in.a.Kind() {
+		case mad.KindStripe:
 			// One rail of a striped message: file it and keep pulling
 			// until some message (striped or not) is complete.
-			if g := e.vc.openStripeRail(p, e.node, in.a); g != nil {
-				if g.agg {
-					e.vc.aggDecodeStriped(p, e.node, g)
-					continue
-				}
-				su := newStripeUnpacking(e.vc, e.node, g)
-				return &Unpacking{stripe: su, from: su.from(), fwd: su.forwarded()}
+			g := vc.openStripeRail(p, e.node, in.a)
+			if g == nil {
+				continue
 			}
-			continue
-		}
-		if in.a.Kind() == mad.KindAgg {
+			if g.agg {
+				vc.aggDecodeStriped(p, e.node, g)
+				continue
+			}
+			su := newStripeUnpacking(vc, e.node, g)
+			return &Unpacking{u: su, from: su.from(), fwd: su.forwarded()}
+		case mad.KindAgg:
 			// A whole aggregate frame in one compact transfer: decode,
 			// queue its sub-messages, deliver the first on the next spin.
-			e.vc.openAggFrame(p, e.node, in.a)
+			vc.openAggFrame(p, e.node, in.a)
 			continue
-		}
-		if in.a.Kind() == mad.KindEager {
-			g := newEagerUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{eager: g, from: g.from, fwd: true}
-		}
-		if in.a.Kind() == mad.KindMcast {
-			g := newMcastUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{mcast: g, from: g.from, fwd: true}
-		}
-		if in.a.Kind() == mad.KindGTM {
-			g := newGTMUnpacking(p, e.vc, e.node, in.a)
-			return &Unpacking{gtm: g, from: g.from, fwd: true}
+		case mad.KindEager:
+			g := newEagerUnpacking(p, vc, e.node, in.a)
+			return &Unpacking{u: g, from: g.from, fwd: true}
+		case mad.KindMcast:
+			g := newMcastUnpacking(p, vc, e.node, in.a)
+			return &Unpacking{u: g, from: g.from, fwd: true}
+		case mad.KindGTM:
+			g := newGTMUnpacking(p, vc, e.node, in.a)
+			return &Unpacking{u: g, from: g.from, fwd: true}
 		}
 		u := in.ep.Open(p, in.a)
-		return &Unpacking{plain: u, from: u.From()}
+		return &Unpacking{u: plainUnpacking{u}, from: u.From()}
 	}
-}
-
-// stripeRx returns this node's rail collection state, or nil when striping
-// is off.
-func (e *Endpoint) stripeRx() *stripeRx {
-	if e.vc.stripe == nil {
-		return nil
-	}
-	return e.vc.stripe.rx[e.node.Rank]
 }
 
 // From returns the rank of the message's original sender, even across
@@ -835,31 +860,7 @@ func (u *Unpacking) Unpack(p *vtime.Proc, dst []byte, s mad.SendMode, r mad.Recv
 	if u.ended {
 		panic("fwd: Unpack after EndUnpacking")
 	}
-	if u.plain != nil {
-		u.plain.Unpack(p, dst, s, r)
-		return
-	}
-	if u.agg != nil {
-		u.agg.unpack(p, dst, s, r)
-		return
-	}
-	if u.rel != nil {
-		u.rel.unpack(p, dst, s, r)
-		return
-	}
-	if u.stripe != nil {
-		u.stripe.unpack(p, dst, s, r)
-		return
-	}
-	if u.mcast != nil {
-		u.mcast.unpack(p, dst, s, r)
-		return
-	}
-	if u.eager != nil {
-		u.eager.unpack(p, dst, s, r)
-		return
-	}
-	u.gtm.unpack(p, dst, s, r)
+	u.u.unpack(p, dst, s, r)
 }
 
 // EndUnpacking completes the message.
@@ -868,29 +869,5 @@ func (u *Unpacking) EndUnpacking(p *vtime.Proc) {
 		panic("fwd: double EndUnpacking")
 	}
 	u.ended = true
-	if u.plain != nil {
-		u.plain.EndUnpacking(p)
-		return
-	}
-	if u.agg != nil {
-		u.agg.end(p)
-		return
-	}
-	if u.rel != nil {
-		u.rel.end(p)
-		return
-	}
-	if u.stripe != nil {
-		u.stripe.end(p)
-		return
-	}
-	if u.mcast != nil {
-		u.mcast.end(p)
-		return
-	}
-	if u.eager != nil {
-		u.eager.end(p)
-		return
-	}
-	u.gtm.end(p)
+	u.u.end(p)
 }
